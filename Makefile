@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke obs-smoke workers-smoke profile
+.PHONY: build test race bench bench-smoke bench-test bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke obs-smoke workers-smoke profile
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,14 @@ bench:
 # breakage in the benchmark harness without paying for stable numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig5 -benchtime 1x .
+
+# The layered benchmark's own tests. bench/ is a Go module of its own,
+# so `make test` does not reach them: every workload runs at test scale
+# and each ladder and mix job's Elapsed, Steps, Messages, Flows and
+# WireBytes must equal bench/testdata/pins_*.json, as must the sweep
+# tables' SHA-256.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Topology x algorithm benchmark results as machine-readable JSON
 # (BENCH_topo.json: ns/op + sim_ms per cell), so the perf trajectory of

@@ -271,6 +271,37 @@ func TestRunGSRSeeded(t *testing.T) {
 	}
 }
 
+// TestRepeatedRunsBitIdentical: rerunning a job reproduces its whole
+// Result bit for bit, per-link carried bytes and utilizations included,
+// not just the makespan. Many flows sharing links make the per-link sums
+// sensitive to the order the network accumulates them in.
+func TestRepeatedRunsBitIdentical(t *testing.T) {
+	gs := cm5.MustAlgorithm("GS")
+	for _, workload := range []string{"transpose", "stencil3d"} {
+		p, err := cm5.WorkloadPattern(workload, 64, 1024, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first cm5.Result
+		for i := 0; i < 30; i++ {
+			res, err := cm5.Run(cm5.PatternJob(gs, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = res
+				if len(first.LinkUtilization) == 0 {
+					t.Fatalf("%s: no per-link utilization to compare", workload)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res, first) {
+				t.Fatalf("%s: run %d differs from run 0", workload, i)
+			}
+		}
+	}
+}
+
 func TestRunProgramBacked(t *testing.T) {
 	// REX: program-backed with a logical step count and no step times.
 	rex, err := cm5.Run(cm5.NewJob(cm5.MustAlgorithm("REX"), 16, 256))

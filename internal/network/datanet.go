@@ -1,10 +1,11 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -27,14 +28,16 @@ const remainingEpsilon = 1e-3
 type link struct {
 	idx     int
 	cap     float64
-	down    bool // dead link: routing avoids it, no flow may cross it
-	flows   map[*Flow]struct{}
+	down    bool    // dead link: routing avoids it, no flow may cross it
+	flows   []*Flow // flows crossing the link, in creation-seq order
 	carried float64 // total bytes carried, for utilization reports
+	dirty   bool    // changed since the last solve (queued in DataNet.dirty)
 
-	// maxmin water-filling scratch state (valid only within one call).
+	// maxmin scratch state (valid only within one call).
 	avail   float64
 	unfixed int
 	touched bool
+	seen    bool // reached by the changed-component search
 }
 
 // Flow is one in-flight message transfer on the data network.
@@ -47,8 +50,8 @@ type Flow struct {
 	rate      float64
 	links     []*link
 	done      func()
-	active    bool
 	fixed     bool // maxmin scratch (valid only within one call)
+	seen      bool // maxmin scratch: in the changed component
 	started   sim.Time
 }
 
@@ -66,7 +69,8 @@ type DataNet struct {
 	top   topo.Topology
 	cfg   Config
 	links []*link // indexed by topology link index; nil until first touched
-	flows map[*Flow]struct{}
+	flows []*Flow // active flows in creation-seq order
+	dirty []*link // links whose flows or capacity changed since the last solve
 
 	lastAdvance sim.Time
 	tick        *sim.Timer // single re-armed earliest-completion event
@@ -85,6 +89,7 @@ type DataNet struct {
 	routeScratch []int
 	flowScratch  []*Flow
 	linkScratch  []*link
+	compScratch  []*link
 
 	// Stats.
 	totalFlows     int
@@ -99,7 +104,6 @@ func NewDataNet(eng *sim.Engine, t topo.Topology, cfg Config) *DataNet {
 		top:   t,
 		cfg:   cfg,
 		links: make([]*link, t.NumLinks()),
-		flows: make(map[*Flow]struct{}),
 	}
 }
 
@@ -121,7 +125,7 @@ func (d *DataNet) TotalWireBytes() int64 { return d.totalWireBytes }
 func (d *DataNet) linkFor(idx int) *link {
 	l := d.links[idx]
 	if l == nil {
-		l = &link{idx: idx, cap: d.top.Link(idx).Cap, flows: make(map[*Flow]struct{})}
+		l = &link{idx: idx, cap: d.top.Link(idx).Cap}
 		d.links[idx] = l
 	}
 	return l
@@ -142,12 +146,11 @@ func (d *DataNet) Start(src, dst, userBytes int, done func()) *Flow {
 		seq:       d.totalFlows,
 		remaining: float64(wire),
 		done:      done,
-		active:    true,
 		started:   d.eng.Now(),
 	}
 	d.attach(f)
 	d.advance()
-	d.flows[f] = struct{}{}
+	d.flows = append(d.flows, f)
 	d.totalFlows++
 	d.totalWireBytes += int64(wire)
 	if d.obs != nil {
@@ -161,14 +164,16 @@ func (d *DataNet) Start(src, dst, userBytes int, done func()) *Flow {
 }
 
 // advance applies the current rates over the time elapsed since the last
-// call, decrementing every active flow's remaining bytes.
+// call, decrementing every active flow's remaining bytes. Flows are
+// visited in creation order, so every link's carried total is summed in
+// a fixed order and per-link results are bit-reproducible.
 func (d *DataNet) advance() {
 	now := d.eng.Now()
 	if now == d.lastAdvance {
 		return
 	}
 	dt := (now - d.lastAdvance).Seconds()
-	for f := range d.flows {
+	for _, f := range d.flows {
 		moved := f.rate * dt
 		f.remaining -= moved
 		for _, l := range f.links {
@@ -262,9 +267,9 @@ func (d *DataNet) LinkUtilization(elapsed sim.Time) []LinkUtil {
 }
 
 // attach routes a flow over the surviving link graph and joins it to
-// every link on the route. With no dead links this is the direct route,
-// allocation-free; with failures the flow detours around them
-// (topo.DetourRoute) and counts as rerouted.
+// every link on the route, marking each dirty. With no dead links this
+// is the direct route, allocation-free; with failures the flow detours
+// around them (topo.DetourRoute) and counts as rerouted.
 func (d *DataNet) attach(f *Flow) {
 	if d.downLinks == 0 {
 		d.routeScratch = d.top.RouteAppend(d.routeScratch[:0], f.Src, f.Dst)
@@ -284,9 +289,38 @@ func (d *DataNet) attach(f *Flow) {
 	}
 	for _, idx := range d.routeScratch {
 		l := d.linkFor(idx)
-		l.flows[f] = struct{}{}
+		l.flows = slices.Insert(l.flows, seqIndex(l.flows, f), f)
+		d.markDirty(l)
 		f.links = append(f.links, l)
 	}
+}
+
+// detach removes a flow from every link on its route, marking each
+// dirty.
+func (d *DataNet) detach(f *Flow) {
+	for _, l := range f.links {
+		i := seqIndex(l.flows, f)
+		l.flows = slices.Delete(l.flows, i, i+1)
+		d.markDirty(l)
+	}
+	f.links = f.links[:0]
+}
+
+// markDirty queues l for the next max-min solve, which re-solves every
+// flow connected to it through shared links.
+func (d *DataNet) markDirty(l *link) {
+	if !l.dirty {
+		l.dirty = true
+		d.dirty = append(d.dirty, l)
+	}
+}
+
+// seqIndex returns the position of f in the seq-ordered fs, or where it
+// would be inserted. A new flow has the largest seq and lands at the
+// end; only rerouted flows land in the middle.
+func seqIndex(fs []*Flow, f *Flow) int {
+	i, _ := slices.BinarySearchFunc(fs, f.seq, func(g *Flow, seq int) int { return cmp.Compare(g.seq, seq) })
+	return i
 }
 
 // isDirect reports whether route equals the topology's direct route for
@@ -329,18 +363,11 @@ func (d *DataNet) FailLink(idx int) {
 	if d.met != nil {
 		d.met.LinksDown.Add(1)
 	}
-	// Reroute the victims in creation order so reallocation stays
-	// deterministic.
-	var victims []*Flow
-	for f := range l.flows {
-		victims = append(victims, f)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	// Reroute the victims in creation order (the order of l.flows; a copy,
+	// since detaching edits it) so reallocation stays deterministic.
+	victims := append([]*Flow(nil), l.flows...)
 	for _, f := range victims {
-		for _, fl := range f.links {
-			delete(fl.flows, f)
-		}
-		f.links = f.links[:0]
+		d.detach(f)
 		d.attach(f) // counts the detour via fstats.Rerouted
 	}
 	d.reallocate()
@@ -356,6 +383,7 @@ func (d *DataNet) DegradeLink(idx int, factor float64) {
 	d.advance()
 	l := d.linkFor(idx)
 	l.cap *= factor
+	d.markDirty(l)
 	d.fstats.LinksDegraded++
 	d.reallocate()
 }
@@ -385,19 +413,26 @@ func (d *DataNet) FaultStats() FaultStats { return d.fstats }
 // reallocate recomputes max-min fair rates, completes any finished flows,
 // and schedules the next completion event.
 func (d *DataNet) reallocate() {
-	// Complete flows whose remaining bytes have hit zero.
+	// Complete flows whose remaining bytes have hit zero, compacting
+	// them out of the active list in one pass.
 	var finished []*Flow
-	for f := range d.flows {
-		if f.remaining <= remainingEpsilon {
-			finished = append(finished, f)
+	live := d.flows[:0]
+	for _, f := range d.flows {
+		if f.remaining > remainingEpsilon {
+			live = append(live, f)
+			continue
 		}
+		finished = append(finished, f)
+		f.rate = 0
+		d.detach(f)
 	}
-	for _, f := range finished {
-		d.remove(f)
-	}
-	// Run completion callbacks in a deterministic order (start order is
-	// not tracked; sort by src then dst, which is unique per in-flight
-	// pair in all our workloads and stable regardless).
+	clear(d.flows[len(live):])
+	d.flows = live
+	// Run completion callbacks by (src, dst), not creation order: the
+	// callbacks start new flows and wake node processes, so this order
+	// fixes every later flow's seq and event, and the pinned simulated
+	// results were produced in it. The sort is stable, so equal pairs
+	// keep creation order.
 	sortFlows(finished)
 	if d.met != nil {
 		d.met.MaxminSolves.Add(1)
@@ -434,30 +469,60 @@ func (d *DataNet) reallocate() {
 	}
 }
 
-func (d *DataNet) remove(f *Flow) {
-	f.active = false
-	f.rate = 0
-	delete(d.flows, f)
-	for _, l := range f.links {
-		delete(l.flows, f)
-	}
-}
-
 // maxmin computes the max-min fair allocation by iterative water-filling
 // over the links (each flow is additionally capped by its node links,
 // which are part of its route, so no separate per-flow cap is needed).
-// All iteration follows deterministic orders — flows by creation
-// sequence, links by first touch — so floating-point results are
-// bit-identical across runs.
+//
+// Only the changed component is re-solved: the flows joined to a dirty
+// link through shared links. Water-filling on disjoint components
+// touches disjoint link state, and within a component the bottleneck
+// order (first-touch tie-breaks included) and every avail -= share are
+// those of a solve over all flows, so every other flow's rate is
+// already the one a full solve would give it, bit for bit. All
+// iteration follows deterministic orders — flows by creation sequence,
+// links by first touch — so floating-point results are bit-identical
+// across runs.
 func (d *DataNet) maxmin() {
-	if len(d.flows) == 0 {
+	// Mark the changed component's flows: a breadth-first search from
+	// the dirty links over the link-flow incidence.
+	comp := d.compScratch[:0]
+	for _, l := range d.dirty {
+		l.dirty = false
+		l.seen = true
+		comp = append(comp, l)
+	}
+	d.dirty = d.dirty[:0]
+	nflows := 0
+	for i := 0; i < len(comp); i++ {
+		for _, f := range comp[i].flows {
+			if f.seen {
+				continue
+			}
+			f.seen = true
+			nflows++
+			for _, l := range f.links {
+				if !l.seen {
+					l.seen = true
+					comp = append(comp, l)
+				}
+			}
+		}
+	}
+	for _, l := range comp {
+		l.seen = false
+	}
+	d.compScratch = comp
+	if nflows == 0 {
 		return
 	}
+	// The marked flows in creation order.
 	flowList := d.flowScratch[:0]
-	for f := range d.flows {
-		flowList = append(flowList, f)
+	for _, f := range d.flows {
+		if f.seen {
+			f.seen = false
+			flowList = append(flowList, f)
+		}
 	}
-	sort.Slice(flowList, func(i, j int) bool { return flowList[i].seq < flowList[j].seq })
 
 	linkList := d.linkScratch[:0]
 	unfixed := len(flowList)
@@ -502,11 +567,8 @@ func (d *DataNet) maxmin() {
 		}
 		// Fix every unfixed flow crossing the bottleneck at the share,
 		// in creation order.
-		for _, f := range flowList {
+		for _, f := range bottleneck.flows {
 			if f.fixed {
-				continue
-			}
-			if _, on := bottleneck.flows[f]; !on {
 				continue
 			}
 			f.rate = share
@@ -539,7 +601,7 @@ func (d *DataNet) scheduleNextCompletion() {
 		return
 	}
 	soonest := math.Inf(1)
-	for f := range d.flows {
+	for _, f := range d.flows {
 		if f.rate <= 0 {
 			continue
 		}

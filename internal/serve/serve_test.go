@@ -116,6 +116,31 @@ func TestJobMissThenHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunOneByteIdenticalAcrossCalls: a payload is a pure function of its
+// spec, down to the last bit of level_utilization, so a daemon that
+// re-simulates a spec (after an invalidation, or on another host)
+// serves the bytes it served before.
+func TestRunOneByteIdenticalAcrossCalls(t *testing.T) {
+	js := JobSpec{Algorithm: "AS", N: 32, Bytes: 256,
+		Workload: SyntheticWorkload, Density: 0.5, Seed: 2}
+	first, err := RunOne(js, network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(first, []byte(`"level_utilization"`)) {
+		t.Fatalf("payload carries no level_utilization: %s", first)
+	}
+	for i := 1; i < 40; i++ {
+		payload, err := RunOne(js, network.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload, first) {
+			t.Fatalf("call %d differs from call 0:\n%s\n%s", i, payload, first)
+		}
+	}
+}
+
 // TestJobMalformedSpecs pins the 400 path: every bad spec is rejected
 // before any simulation, with the registries' known-names error text.
 func TestJobMalformedSpecs(t *testing.T) {
