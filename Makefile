@@ -30,10 +30,12 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 
-# One iteration of every Figure-5 benchmark: catches compile or assertion
-# breakage in the benchmark harness without paying for stable numbers.
+# One iteration of every Figure-5 benchmark and of every engine
+# micro-benchmark: catches compile or assertion breakage in the benchmark
+# harnesses without paying for stable numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig5 -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
 # The layered benchmark's own tests. bench/ is a Go module of its own,
 # so `make test` does not reach them: every workload runs at test scale

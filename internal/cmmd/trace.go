@@ -93,7 +93,7 @@ func (m *Machine) Trace() *Trace { return m.trace }
 // SetTraceSink registers fn to receive every message event as it
 // completes, independently of EnableTrace — the tee behind the trace
 // recorder of internal/trace. Must be called before Run. The callback
-// runs inside the simulation (single engine goroutine) and must not
+// runs inside the simulation (one engine step at a time) and must not
 // block; a nil fn detaches the sink.
 func (m *Machine) SetTraceSink(fn func(MsgEvent)) { m.sink = fn }
 

@@ -1,20 +1,21 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with a cooperative process model.
 //
-// Each simulated processor runs as its own goroutine, but exactly one
-// goroutine executes at any instant. The scheduler runs inline on
-// whichever goroutine is yielding: a parking process drains the event
-// queue itself and hands control directly to the next runnable process
-// (one channel operation), or — when its own timer is next — simply keeps
-// running with no channel traffic at all. Control transfer is therefore
-// strictly sequential and a simulation is fully deterministic: the same
-// inputs always produce the same virtual-time trace.
+// Each simulated processor runs as a coroutine (iter.Pull) driven by one
+// scheduler loop in Engine.Run. A process runs until it parks; the loop
+// then resumes the next runnable process, or, when none is runnable,
+// pops the next event from a single heap ordered by (time, sequence
+// number) and fires it. Exactly one process or event executes at any
+// instant, so a simulation is fully deterministic: the same inputs always
+// produce the same virtual-time trace.
 //
 // Virtual time is measured in integer nanoseconds (type Time).
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"sort"
 )
 
@@ -39,12 +40,16 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 func (t Time) Millis() float64 { return float64(t) / 1e6 }
 
 // FromSeconds converts floating-point seconds to a Time, rounding to the
-// nearest nanosecond. Negative and non-finite inputs are clamped to zero.
+// nearest nanosecond. NaN and non-positive inputs give zero; +Inf and
+// values past the largest Time saturate at math.MaxInt64.
 func FromSeconds(s float64) Time {
 	if !(s > 0) {
 		return 0
 	}
-	return Time(s*1e9 + 0.5)
+	if ns := s*1e9 + 0.5; ns < 1<<63 {
+		return Time(ns)
+	}
+	return math.MaxInt64
 }
 
 // event is a scheduled callback or a timed process wakeup. Events are
@@ -71,14 +76,16 @@ const (
 )
 
 // Proc is a simulated process (one per simulated processor). Its body
-// function runs on a dedicated goroutine, scheduled cooperatively by the
-// Engine. All Proc methods must be called from the body goroutine.
+// function runs as a coroutine resumed by the Engine's scheduler loop.
+// All Proc methods must be called from the body.
 type Proc struct {
 	id       int
 	name     string
 	eng      *Engine
 	body     func(*Proc)
-	resume   chan struct{}
+	yield    func(struct{}) bool     // parks the body, back to the loop
+	next     func() (struct{}, bool) // resumes the body; false once done
+	stop     func()                  // releases a body that never finished
 	state    procState
 	wakeable bool // parked via Park (Ready allowed), not via Sleep
 }
@@ -99,13 +106,10 @@ func (p *Proc) Now() Time { return p.eng.now }
 // without advancing time (the process re-runs in the same instant after
 // pending same-time events).
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
-	}
 	eng := p.eng
 	ev := eng.getEvent()
 	ev.proc = p
-	eng.enqueue(eng.now+d, ev)
+	eng.enqueue(eng.deadline(d), ev)
 	p.park(false)
 }
 
@@ -117,26 +121,38 @@ func (p *Proc) Park() { p.park(true) }
 func (p *Proc) park(wakeable bool) {
 	p.state = procParked
 	p.wakeable = wakeable
-	if !p.eng.dispatch(p) {
-		<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(released{}) // Run has returned: unwind the body
 	}
-	p.state = procRunning
+}
+
+// released is the panic value that unwinds a body still parked when Run
+// returns; run recovers it so that only the body's own panics escape.
+type released struct{}
+
+// run is the coroutine body wrapper handed to iter.Pull.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(released); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.body(p)
 }
 
 // Engine is a deterministic discrete-event simulator.
 type Engine struct {
 	now      Time
 	events   []*event // binary heap ordered by (at, seq)
-	nowq     []*event // FIFO of events scheduled for the current instant
-	nowqHead int
 	seq      uint64
 	procs    []*Proc
 	runq     []*Proc
 	runqHead int
-	free     []*event      // event pool
-	idle     chan struct{} // wakes Run when the simulation exhausts
-	done     int           // finished processes
-	running  bool
+	free     []*event // event pool
+	done     int      // finished processes
 	ran      bool
 	stats    Stats
 }
@@ -156,9 +172,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats { return e.stats }
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{idle: make(chan struct{}, 1)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -182,18 +196,12 @@ func (e *Engine) putEvent(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// enqueue stamps the event with the next sequence number and queues it.
-// Events for the current instant go to a plain FIFO instead of the heap
-// when no queued event shares the instant (queued ones carry smaller
-// sequence numbers and must fire first, which only the heap can order).
+// enqueue stamps the event with the next sequence number and pushes it
+// on the heap.
 func (e *Engine) enqueue(at Time, ev *event) {
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
-	if e.running && at == e.now && (len(e.events) == 0 || e.events[0].at != e.now) {
-		e.nowq = append(e.nowq, ev)
-		return
-	}
 	e.heapPush(ev)
 }
 
@@ -210,11 +218,18 @@ func (e *Engine) Schedule(at Time, fn func()) {
 }
 
 // After schedules fn to run d from now.
-func (e *Engine) After(d Time, fn func()) {
+func (e *Engine) After(d Time, fn func()) { e.Schedule(e.deadline(d), fn) }
+
+// deadline returns the time d from now, clamping a negative d to zero and
+// saturating at the largest Time instead of overflowing.
+func (e *Engine) deadline(d Time) Time {
 	if d < 0 {
-		d = 0
+		return e.now
 	}
-	e.Schedule(e.now+d, fn)
+	if d > math.MaxInt64-e.now {
+		return math.MaxInt64
+	}
+	return e.now + d
 }
 
 // Spawn creates a process with the given debug name and body. It must be
@@ -223,14 +238,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	if e.ran {
 		panic("sim: Spawn after Run")
 	}
-	p := &Proc{
-		id:     len(e.procs),
-		name:   name,
-		eng:    e,
-		body:   body,
-		resume: make(chan struct{}, 1),
-		state:  procNew,
-	}
+	p := &Proc{id: len(e.procs), name: name, eng: e, body: body, state: procNew}
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -254,7 +262,7 @@ func (e *Engine) ready(p *Proc) {
 	e.runq = append(e.runq, p)
 }
 
-// fire runs one due event on the calling goroutine.
+// fire runs one due event.
 func (e *Engine) fire(ev *event) {
 	e.stats.EventsFired++
 	if ev.proc != nil {
@@ -269,52 +277,6 @@ func (e *Engine) fire(ev *event) {
 	fn := ev.fn
 	e.putEvent(ev)
 	fn()
-}
-
-// dispatch runs the scheduler inline on the calling goroutine until the
-// next runnable process is found. It returns true when that process is
-// self, meaning the caller continues with no context switch at all.
-// Otherwise control has been handed to the next process (or back to Run
-// when the simulation is exhausted) and the caller must wait on its own
-// resume channel — or simply return, if it is finished.
-func (e *Engine) dispatch(self *Proc) bool {
-	for {
-		// Run-queue first: woken processes run before the clock moves.
-		if e.runqHead < len(e.runq) {
-			next := e.runq[e.runqHead]
-			e.runq[e.runqHead] = nil
-			e.runqHead++
-			if next == self {
-				return true
-			}
-			next.resume <- struct{}{}
-			return false
-		}
-		e.runq = e.runq[:0]
-		e.runqHead = 0
-
-		// Same-instant events appended while processing this instant.
-		if e.nowqHead < len(e.nowq) {
-			ev := e.nowq[e.nowqHead]
-			e.nowq[e.nowqHead] = nil
-			e.nowqHead++
-			e.fire(ev)
-			continue
-		}
-		e.nowq = e.nowq[:0]
-		e.nowqHead = 0
-
-		if len(e.events) == 0 {
-			e.idle <- struct{}{}
-			return false
-		}
-		ev := e.heapPop()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.fire(ev)
-	}
 }
 
 // DeadlockError reports that the simulation stalled with live processes.
@@ -332,32 +294,50 @@ func (d *DeadlockError) Error() string {
 // Run executes the simulation to completion: all processes finished and no
 // events remain, or — if there are no processes — until the event queue
 // drains. It returns the final virtual time. If processes remain parked
-// with no pending events, Run returns a *DeadlockError.
+// with no pending events, Run returns a *DeadlockError. A panic in a
+// process body or an event callback propagates out of Run on the caller's
+// goroutine, after every process still parked has been released.
 func (e *Engine) Run() (Time, error) {
 	if e.ran {
 		return e.now, fmt.Errorf("sim: Run called twice")
 	}
 	e.ran = true
-	e.running = true
-
-	// Launch all process goroutines; they block until first resumed. A
-	// finishing process dispatches onward itself, then its goroutine exits.
 	for _, p := range e.procs {
-		p := p
-		go func() {
-			<-p.resume
-			p.state = procRunning
-			p.body(p)
-			p.state = procDone
-			e.done++
-			e.dispatch(nil)
-		}()
+		p.next, p.stop = iter.Pull(p.run)
 		e.ready(p)
 	}
+	defer func() {
+		for _, p := range e.procs {
+			p.stop()
+		}
+	}()
 
-	e.dispatch(nil)
-	<-e.idle
-	e.running = false
+	for {
+		// Run-queue first: woken processes run before the clock moves.
+		if e.runqHead < len(e.runq) {
+			p := e.runq[e.runqHead]
+			e.runq[e.runqHead] = nil
+			e.runqHead++
+			p.state = procRunning
+			if _, ok := p.next(); !ok {
+				p.state = procDone
+				e.done++
+			}
+			continue
+		}
+		e.runq = e.runq[:0]
+		e.runqHead = 0
+
+		if len(e.events) == 0 {
+			break
+		}
+		ev := e.heapPop()
+		if ev.at < e.now {
+			panic("sim: time went backwards")
+		}
+		e.now = ev.at
+		e.fire(ev)
+	}
 
 	if e.done != len(e.procs) {
 		var parked []string

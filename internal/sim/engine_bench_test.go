@@ -43,8 +43,9 @@ func BenchmarkEventChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSameInstantBurst measures the same-instant FIFO fast path:
-// each fired event immediately schedules another at the current time.
+// BenchmarkSameInstantBurst measures same-instant events through the
+// heap: each fired event immediately schedules another at the current
+// time.
 func BenchmarkSameInstantBurst(b *testing.B) {
 	e := NewEngine()
 	n := 0

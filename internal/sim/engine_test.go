@@ -1,11 +1,25 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// settleGoroutines waits briefly for the goroutine count to fall to want
+// and returns the last count seen.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
 
 func TestEmptyEngineRuns(t *testing.T) {
 	e := NewEngine()
@@ -156,6 +170,22 @@ func TestProcZeroSleepYields(t *testing.T) {
 	}
 }
 
+func TestLongSleepSaturates(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(5)
+		p.Sleep(FromSeconds(1e10))
+		p.Sleep(1)
+	})
+	end, err := e.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if end != math.MaxInt64 {
+		t.Fatalf("end = %d, want the largest Time", end)
+	}
+}
+
 func TestNegativeSleepClamps(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
@@ -275,6 +305,59 @@ func TestPartialDeadlockStillReported(t *testing.T) {
 	if !ok || de.Pending != 1 || de.Parked[0] != "stuck" {
 		t.Fatalf("err = %v", err)
 	}
+
+	// Run releases the parked bodies: their deferred calls run and
+	// nothing is left blocked once it returns.
+	base := runtime.NumGoroutine()
+	released := 0
+	for run := 0; run < 10; run++ {
+		e := NewEngine()
+		e.Spawn("ok", func(p *Proc) { p.Sleep(5) })
+		for i := 0; i < 50; i++ {
+			e.Spawn("stuck", func(p *Proc) {
+				defer func() { released++ }()
+				p.Park()
+			})
+		}
+		if _, err := e.Run(); err == nil {
+			t.Fatal("deadlock not reported")
+		}
+	}
+	if released != 500 {
+		t.Errorf("released %d parked bodies, want 500", released)
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("goroutines = %d after Run, baseline %d", n, base)
+	}
+}
+
+func TestBodyPanicSurfacesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	released := false
+	e.Spawn("parked", func(p *Proc) {
+		defer func() { released = true }()
+		p.Park()
+	})
+	e.Spawn("boom", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the body's panic value", r)
+			}
+		}()
+		e.Run()
+		t.Error("Run returned instead of panicking")
+	}()
+	if !released {
+		t.Error("parked body was not released")
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("goroutines = %d after Run, baseline %d", n, base)
+	}
 }
 
 func TestManyProcsAllFinish(t *testing.T) {
@@ -379,6 +462,19 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if FromSeconds(0) != 0 {
 		t.Error("FromSeconds(0)")
+	}
+	for _, s := range []float64{math.NaN(), math.Inf(-1)} {
+		if got := FromSeconds(s); got != 0 {
+			t.Errorf("FromSeconds(%v) = %d, want 0", s, got)
+		}
+	}
+	for _, s := range []float64{math.Inf(1), 1e10, math.MaxFloat64} {
+		if got := FromSeconds(s); got != math.MaxInt64 {
+			t.Errorf("FromSeconds(%v) = %d, want the largest Time", s, got)
+		}
+	}
+	if got := FromSeconds(9e9); got != 9e18 {
+		t.Errorf("FromSeconds(9e9) = %d, want 9e18", got)
 	}
 }
 
@@ -566,8 +662,8 @@ func TestEventPoolReuseKeepsOrdering(t *testing.T) {
 }
 
 func TestSelfResumeNeedsNoOtherProcs(t *testing.T) {
-	// A lone process sleeping repeatedly exercises the self-resume fast
-	// path (dispatch returns control without a channel hand-off).
+	// A lone process sleeping repeatedly: each wakeup is its own timer
+	// event, so the loop resumes the same coroutine it just parked.
 	e := NewEngine()
 	var at Time
 	e.Spawn("solo", func(p *Proc) {

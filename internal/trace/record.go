@@ -18,7 +18,8 @@ import (
 // Recorder accumulates message events from a cmmd machine. Attach its
 // Sink to the run (cmmd.Machine.SetTraceSink, or the apps' trace-sink
 // options), then Finalize into a canonical Trace. The sink is called
-// from the single engine goroutine, so the Recorder needs no lock.
+// from inside the simulation, which runs one step at a time, so the
+// Recorder needs no lock.
 type Recorder struct {
 	events []Event
 }
