@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-test bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke obs-smoke workers-smoke profile
+.PHONY: build test race bench bench-smoke bench-test bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke obs-smoke workers-smoke profile loc
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,11 @@ api-check:
 		echo; echo "public cm5 API changed: run 'make api' and commit cm5/api.txt"; \
 		rm -f "$$tmp"; exit 1; fi; rm -f "$$tmp"; \
 	echo "api-check: cm5 surface matches cm5/api.txt"
+
+# Non-test Go line count outside bench/ (tracked files only): the
+# size figure a simplicity change reports before and after.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...

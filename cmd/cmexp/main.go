@@ -43,7 +43,7 @@
 //	              stay blank in the rendered tables; derived columns
 //	              of partially-selected tables stay blank too)
 //	-store LOC    content-addressed result store: cells whose full
-//	              specification (family, cell, axes, seed, config, code
+//	              specification (family, cell, seed, config, code
 //	              version) is already stored replay byte-identically
 //	              instead of re-simulating; fresh results persist for
 //	              the next run. LOC is a directory (created if missing)

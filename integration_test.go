@@ -4,6 +4,7 @@ package repro
 // the experiment harness together.
 
 import (
+	"context"
 	"testing"
 
 	"repro/cm5"
@@ -117,25 +118,20 @@ func TestExperimentIndexComplete(t *testing.T) {
 		t.Skip("runs many simulations")
 	}
 	cfg := network.DefaultConfig()
-	runners := map[string]func() error{
-		"fig5":  func() error { _, err := exp.Fig5(cfg); return err },
-		"fig10": func() error { _, err := exp.Fig10(cfg); return err },
-		"fig11": func() error { _, err := exp.Fig11(cfg); return err },
-		"table11": func() error {
-			_, err := exp.Table11(cfg)
-			return err
-		},
-		"table12": func() error {
-			_, _, err := exp.Table12(cfg)
-			return err
-		},
-		"table5-small": func() error {
-			_, err := exp.Table5(32, 256, cfg)
-			return err
-		},
+	table12, _, err := exp.Table12Spec(cfg)
+	if err != nil {
+		t.Fatalf("table12: %v", err)
 	}
-	for name, run := range runners {
-		if err := run(); err != nil {
+	specs := map[string]*exp.TableSpec{
+		"fig5":         exp.Fig5Spec(cfg),
+		"fig10":        exp.Fig10Spec(cfg),
+		"fig11":        exp.Fig11Spec(cfg),
+		"table11":      exp.Table11Spec(cfg),
+		"table12":      table12,
+		"table5-small": exp.Table5Spec(32, 256, cfg),
+	}
+	for name, spec := range specs {
+		if _, err := exp.NewRunner(0).RunTable(context.Background(), spec); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

@@ -9,14 +9,11 @@ import (
 	"repro/internal/pattern"
 )
 
-// AblationAsync quantifies the paper's Section 3.1 remark: how much of
-// LEX's collapse is the synchronous-send constraint? It reruns LEX and
+// AblationAsyncSpec quantifies the paper's Section 3.1 remark: how much
+// of LEX's collapse is the synchronous-send constraint? It reruns LEX and
 // PEX on 32 nodes with buffered (non-blocking) sends alongside the real
-// CMMD synchronous semantics.
-func AblationAsync(cfg network.Config) (*Table, error) { return runSpec(AblationAsyncSpec(cfg)) }
-
-// AblationAsyncSpec builds the ablation as one cell per
-// (algorithm, send mode, message size).
+// CMMD synchronous semantics, one cell per (algorithm, send mode,
+// message size).
 func AblationAsyncSpec(cfg network.Config) *TableSpec {
 	sizes := []int{0, 256, 1024, 2048}
 	rows := make([]string, len(sizes))
@@ -67,14 +64,11 @@ func FlatTreeConfig() network.Config {
 	return cfg
 }
 
-// AblationFatTree compares PEX and BEX on the real thinned fat tree and
-// on a hypothetical full-bandwidth tree: the balanced schedule's win is
-// a property of the thinning, not of the pairing order itself.
-func AblationFatTree(cfg network.Config) (*Table, error) { return runSpec(AblationFatTreeSpec(cfg)) }
-
-// AblationFatTreeSpec builds the ablation as one cell per
-// (algorithm, tree, message size); the gain columns derive from the
-// measurement cells in the Finish hook.
+// AblationFatTreeSpec compares PEX and BEX on the real thinned fat tree
+// and on a hypothetical full-bandwidth tree: the balanced schedule's win
+// is a property of the thinning, not of the pairing order itself. One
+// cell per (algorithm, tree, message size); the gain columns derive from
+// the measurement cells in the Finish hook.
 func AblationFatTreeSpec(cfg network.Config) *TableSpec {
 	sizes := []int{512, 1024, 2048}
 	rows := make([]string, len(sizes))
@@ -127,14 +121,11 @@ func AblationFatTreeSpec(cfg network.Config) *TableSpec {
 	return spec
 }
 
-// AblationGreedy compares the deterministic next-available greedy
+// AblationGreedySpec compares the deterministic next-available greedy
 // scheduler with randomized tie-breaking across densities: step counts
-// and simulated times.
-func AblationGreedy(cfg network.Config) (*Table, error) { return runSpec(AblationGreedySpec(cfg)) }
-
-// AblationGreedySpec builds the ablation as one cell per
-// (density, deterministic|randomized). The best-of-5 randomized scan
-// stays inside one cell so its fixed seed sequence is preserved.
+// and simulated times, one cell per (density, deterministic|randomized).
+// The best-of-5 randomized scan stays inside one cell so its fixed seed
+// sequence is preserved.
 func AblationGreedySpec(cfg network.Config) *TableSpec {
 	densities := []int{10, 25, 50, 75, 90}
 	rows := make([]string, len(densities))
@@ -187,13 +178,11 @@ func AblationGreedySpec(cfg network.Config) *TableSpec {
 	return spec
 }
 
-// AblationCrystal compares the paper's direct irregular schedulers with
-// the crystal router — the hypercube store-and-forward baseline the
-// paper cites (Fox et al. 1988) — across densities and message sizes.
-func AblationCrystal(cfg network.Config) (*Table, error) { return runSpec(AblationCrystalSpec(cfg)) }
-
-// AblationCrystalSpec builds the comparison as one cell per
-// (case, scheduler); the "best" column derives in the Finish hook.
+// AblationCrystalSpec compares the paper's direct irregular schedulers
+// with the crystal router — the hypercube store-and-forward baseline the
+// paper cites (Fox et al. 1988) — across densities and message sizes,
+// one cell per (case, scheduler); the "best" column derives in the
+// Finish hook.
 func AblationCrystalSpec(cfg network.Config) *TableSpec {
 	type cse struct {
 		density int
@@ -251,15 +240,10 @@ func AblationCrystalSpec(cfg network.Config) *TableSpec {
 	return spec
 }
 
-// AblationCrossover sweeps pattern density finely to locate where the
-// greedy scheduler loses to the fixed pairwise/balanced schedules — the
-// paper places the crossover at 50%.
-func AblationCrossover(cfg network.Config) (*Table, error) {
-	return runSpec(AblationCrossoverSpec(cfg))
-}
-
-// AblationCrossoverSpec builds the sweep as one cell per
-// (density, scheduler); the "best" column derives in the Finish hook.
+// AblationCrossoverSpec sweeps pattern density finely to locate where
+// the greedy scheduler loses to the fixed pairwise/balanced schedules —
+// the paper places the crossover at 50%. One cell per (density,
+// scheduler); the "best" column derives in the Finish hook.
 func AblationCrossoverSpec(cfg network.Config) *TableSpec {
 	densities := []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	rows := make([]string, len(densities))

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationAsyncShape(t *testing.T) {
-	tab, err := AblationAsync(network.DefaultConfig())
+	tab, err := runTable(AblationAsyncSpec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAblationAsyncShape(t *testing.T) {
 }
 
 func TestAblationFatTreeShape(t *testing.T) {
-	tab, err := AblationFatTree(network.DefaultConfig())
+	tab, err := runTable(AblationFatTreeSpec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFlatTreeConfig(t *testing.T) {
 }
 
 func TestAblationGreedyRuns(t *testing.T) {
-	tab, err := AblationGreedy(network.DefaultConfig())
+	tab, err := runTable(AblationGreedySpec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAblationGreedyRuns(t *testing.T) {
 }
 
 func TestAblationCrossoverShape(t *testing.T) {
-	tab, err := AblationCrossover(network.DefaultConfig())
+	tab, err := runTable(AblationCrossoverSpec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/network"
@@ -84,40 +83,21 @@ func TestAppsCoverage(t *testing.T) {
 	}
 }
 
+// TestAppsKeyFields: an apps cell is addressed by its key plus the
+// recording it replays and the trace format version.
 func TestAppsKeyFields(t *testing.T) {
-	got := KeyFields("apps/cg/hypercube/BS/P16")
-	for k, v := range map[string]any{
-		"family": "apps", "app": "cg", "topology": "hypercube",
-		"scheduler": "BS", "n": 16,
-	} {
-		if fmt.Sprint(got[k]) != fmt.Sprint(v) {
-			t.Errorf("KeyFields[%s] = %v, want %v (all: %v)", k, got[k], v, got)
-		}
-	}
+	assertCellSpecKeys(t, "apps", "apps/cg/hypercube/BS/P16", "trace", "trace_version")
 }
 
-// TestAppsTracesAddressTheStore: two cells identical in every
-// key-derived axis but replaying different recordings (a different
-// trace hash, or the same trace under a bumped format version) must
-// hash to different store addresses.
+// TestAppsTracesAddressTheStore: two cells with the same key but
+// replaying different recordings (a different trace hash, or the same
+// trace under a bumped format version) must hash to different store
+// addresses.
 func TestAppsTracesAddressTheStore(t *testing.T) {
-	base := StoreBase(network.DefaultConfig())
+	r := &Runner{StoreBase: StoreBase(network.DefaultConfig())}
+	spec := &TableSpec{Name: "apps"}
 	hash := func(extra store.Spec) string {
-		s := store.Spec{}
-		for k, v := range base {
-			s[k] = v
-		}
-		for k, v := range KeyFields("apps/cg/hypercube/BS/P16") {
-			s[k] = v
-		}
-		for k, v := range extra {
-			s[k] = v
-		}
-		h, err := store.HashSpec(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
+		return cellHash(t, r, spec, Cell{Key: "apps/cg/hypercube/BS/P16", Spec: extra})
 	}
 	a := hash(store.Spec{"trace": "aaaa", "trace_version": trace.TraceVersion})
 	b := hash(store.Spec{"trace": "bbbb", "trace_version": trace.TraceVersion})

@@ -1,12 +1,18 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/network"
 )
+
+// runTable runs spec on every CPU and returns its table.
+func runTable(spec *TableSpec) (*Table, error) {
+	return NewRunner(0).RunTable(context.Background(), spec)
+}
 
 func cell(t *testing.T, tab *Table, r, c int) float64 {
 	t.Helper()
@@ -31,7 +37,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tab, err := Fig5(network.DefaultConfig())
+	tab, err := runTable(Fig5Spec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +57,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6ShapeZeroBytes(t *testing.T) {
-	tab, err := Fig6(network.DefaultConfig())
+	tab, err := runTable(Fig6Spec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func TestFig6ShapeZeroBytes(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tab, err := Fig10(network.DefaultConfig())
+	tab, err := runTable(Fig10Spec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestTable11Shape(t *testing.T) {
-	tab, err := Table11(network.DefaultConfig())
+	tab, err := runTable(Table11Spec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +128,15 @@ func TestTable11Shape(t *testing.T) {
 }
 
 func TestTable12Shape(t *testing.T) {
-	tab, results, err := Table12(network.DefaultConfig())
+	spec, res, err := Table12Spec(network.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, err := runTable(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := *res
 	if len(results) != len(PaperTable12) {
 		t.Fatalf("%d results", len(results))
 	}
@@ -166,7 +177,7 @@ func TestTable5SmallRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FFT sweep is host-expensive")
 	}
-	tab, err := Table5(32, 512, network.DefaultConfig())
+	tab, err := runTable(Table5Spec(32, 512, network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +193,7 @@ func TestTable5SmallRuns(t *testing.T) {
 }
 
 func TestFig11SystemFlat(t *testing.T) {
-	tab, err := Fig11(network.DefaultConfig())
+	tab, err := runTable(Fig11Spec(network.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,6 @@ var FaultSchedulers = []string{"LS", "PS", "BS", "GS", "AS"}
 // other families' patterns exactly.
 func faultSeed(n int) int64 { return int64(n) }
 
-// Faults runs the fault-injection sweep serially.
-func Faults(cfg network.Config) (*Table, error) {
-	spec, err := FaultsSpec(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return runSpec(spec)
-}
-
 // FaultsSpec builds the fault-injection sweep: the butterfly workload
 // over the hypercube under every named fault profile, scheduled with
 // each of LS/PS/BS/GS/AS at every fault machine size. One cell per

@@ -70,16 +70,10 @@ func TestFaultsCoverage(t *testing.T) {
 	}
 }
 
+// TestFaultsKeyFields: a faults cell is addressed by its key plus its
+// fault plan and the plan format version.
 func TestFaultsKeyFields(t *testing.T) {
-	got := KeyFields("faults/butterfly/hypercube/link-down/AS/N64")
-	for k, v := range map[string]any{
-		"family": "faults", "workload": "butterfly", "topology": "hypercube",
-		"fault_profile": "link-down", "scheduler": "AS", "n": 64,
-	} {
-		if fmt.Sprint(got[k]) != fmt.Sprint(v) {
-			t.Errorf("KeyFields[%s] = %v, want %v (all: %v)", k, got[k], v, got)
-		}
-	}
+	assertCellSpecKeys(t, "faults", "faults/butterfly/hypercube/link-down/AS/N64", "faults", "fault_plan_version")
 }
 
 // TestFaultsHealthyMatchesTopologyFamily: the healthy row is the
@@ -133,27 +127,14 @@ func TestFaultsHealthyMatchesTopologyFamily(t *testing.T) {
 	}
 }
 
-// TestFaultsPlansAddressTheStore: two cells identical in every
-// key-derived axis but carrying different fault plans must hash to
-// different store addresses.
+// TestFaultsPlansAddressTheStore: two cells with the same key but
+// carrying different fault plans must hash to different store
+// addresses.
 func TestFaultsPlansAddressTheStore(t *testing.T) {
-	base := StoreBase(network.DefaultConfig())
+	r := &Runner{StoreBase: StoreBase(network.DefaultConfig())}
+	spec := &TableSpec{Name: "faults"}
 	hash := func(extra store.Spec) string {
-		s := store.Spec{}
-		for k, v := range base {
-			s[k] = v
-		}
-		for k, v := range KeyFields("faults/butterfly/hypercube/link-down/AS/N64") {
-			s[k] = v
-		}
-		for k, v := range extra {
-			s[k] = v
-		}
-		h, err := store.HashSpec(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
+		return cellHash(t, r, spec, Cell{Key: "faults/butterfly/hypercube/link-down/AS/N64", Spec: extra})
 	}
 	planA := network.NewHealthyPlan()
 	planB := network.NewHealthyPlan()

@@ -19,18 +19,6 @@ func leasedRunner(t *testing.T, dir, owner string, workers int) *Runner {
 	return r
 }
 
-// cellHash computes the content hash a leased runner claims for one
-// cell — the same spec assembly runCellLeased uses.
-func cellHash(t *testing.T, r *Runner, spec *TableSpec, i int) string {
-	t.Helper()
-	bc := boundCell{spec: spec, cell: spec.Cells[i]}
-	h, err := store.HashSpec(r.cellSpec(bc, CellSeed(bc.cell.Key)^r.Seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
 // TestLeasedWorkersPartitionSweep runs two leased workers concurrently
 // over one shared backend: every cell must be simulated exactly once
 // across the fleet, both workers must render complete tables, and both
@@ -102,7 +90,7 @@ func TestLeaseExpiryWorkStealing(t *testing.T) {
 
 	// A "worker" that claimed the first cell and died: its lease is
 	// real, but no record will ever appear under it.
-	dead := cellHash(t, r, spec, 0)
+	dead := cellHash(t, r, spec, spec.Cells[0])
 	if cl, err := r.Store.Claim(dead, "dead-worker", time.Millisecond); err != nil || !cl.Acquired {
 		t.Fatalf("seed claim = %+v err=%v", cl, err)
 	}
@@ -144,7 +132,7 @@ func TestLeasedDeferralReplaysLiveHoldersResult(t *testing.T) {
 
 	// A live holder: long TTL, so the lease can never be stolen during
 	// the test. The holder "finishes" 30ms in by persisting its result.
-	held := cellHash(t, r, spec, 0)
+	held := cellHash(t, r, spec, spec.Cells[0])
 	if cl, err := r.Store.Claim(held, "live-holder", time.Hour); err != nil || !cl.Acquired {
 		t.Fatalf("seed claim = %+v err=%v", cl, err)
 	}

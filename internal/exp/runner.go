@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"regexp"
 	"runtime"
@@ -28,9 +29,9 @@ type Cell struct {
 	// derived from it, and the result store's content hash includes it.
 	Key string
 	// Spec holds extra key fields mixed into the cell's content hash on
-	// top of the key-derived axes — the faults family files each cell's
-	// full fault plan here, so two cells differing only in their plans
-	// can never collide in the store. Nil for most cells; ignored
+	// top of its family, key and seed — the faults family files each
+	// cell's full fault plan here, so two cells differing only in their
+	// plans can never collide in the store. Nil for most cells; ignored
 	// without a Store.
 	Spec store.Spec
 	// Fn computes the cell. seed is the runner's deterministic per-cell
@@ -150,10 +151,10 @@ func CellSeed(key string) int64 {
 // the pool has one worker or many.
 //
 // With a Store attached the runner is cache-aware: before simulating a
-// cell it hashes the cell's full specification (family, cell key,
-// derived axes, seed, plus the caller's StoreBase fields — network
-// config and code version) and replays the stored record on a hit;
-// misses simulate and persist. Replay applies the exact recorded
+// cell it hashes the cell's full specification (family, cell key, seed,
+// the cell's own Spec fields, plus the caller's StoreBase fields —
+// network config and code version) and replays the stored record on a
+// hit; misses simulate and persist. Replay applies the exact recorded
 // strings, so output stays byte-identical with the store on, off, warm
 // or cold.
 //
@@ -308,12 +309,12 @@ func (r *Runner) Run(ctx context.Context, specs ...*TableSpec) error {
 		}
 		complete[i] = selected == len(s.Cells)
 	}
-	var err error
+	var lc *LeaseConfig
 	if r.Lease != nil && r.Store != nil {
-		err = r.runCellsLeased(ctx, cells)
-	} else {
-		err = r.runCells(ctx, cells)
+		l := r.Lease.withDefaults()
+		lc = &l
 	}
+	err := r.runCells(ctx, cells, lc)
 	if r.Store != nil {
 		// One index write per sweep, not per cell — and even a failed
 		// sweep indexes the cells it did complete (that is what -resume
@@ -343,41 +344,68 @@ func (r *Runner) RunTable(ctx context.Context, spec *TableSpec) (*Table, error) 
 	return spec.Table, nil
 }
 
-func (r *Runner) runCells(ctx context.Context, cells []boundCell) error {
+// Leased (multi-worker) execution is the distributed half of the
+// runner. Each worker process runs the same sweep over the same shared
+// backend; before simulating a cell it leases the cell's content hash,
+// so the fleet partitions cells dynamically — whoever claims first
+// computes, everyone else replays the stored result. A worker that dies
+// holds its leases only until they expire, at which point any other
+// worker steals them, so no single death can strand a cell.
+
+// cellStatus is the outcome of one cell attempt.
+type cellStatus int
+
+const (
+	cellReplayed  cellStatus = iota // stored result applied
+	cellSimulated                   // computed (and stored, with a Store) here
+	cellDeferred                    // another live worker holds the lease
+)
+
+// runCells executes cells on the worker pool; lc is non-nil only for a
+// leased runner, the only one that ever defers a cell. Each cell token
+// lives in the queue (or a pending requeue timer) at most once, so the
+// channel — sized to hold every cell — can never block a send.
+func (r *Runner) runCells(ctx context.Context, cells []boundCell, lc *LeaseConfig) error {
 	total := len(cells)
 	if total == 0 {
 		return ctx.Err()
 	}
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > total {
-		workers = total
+	workers := min(max(r.Workers, 1), total)
+
+	queue := make(chan boundCell, total)
+	for _, bc := range cells {
+		queue <- bc
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex // guards firstErr, done, and OnProgress calls
 		firstErr error
-		next     atomic.Int64
 		done     int
 	)
-	next.Store(-1)
+	allDone := make(chan struct{})
+
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := next.Add(1)
-				if i >= int64(total) || cctx.Err() != nil {
+				var bc boundCell
+				select {
+				case <-cctx.Done():
+					return
+				case <-allDone:
+					return
+				case bc = <-queue:
+				}
+				// select picks at random among ready cases, so a cell can
+				// be dequeued after the sweep was cancelled: never start it.
+				if cctx.Err() != nil {
 					return
 				}
-				bc := cells[i]
-				cached, err := r.runCell(cctx, bc)
+				st, err := r.runCell(cctx, bc, lc)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -387,12 +415,27 @@ func (r *Runner) runCells(ctx context.Context, cells []boundCell) error {
 					cancel()
 					return
 				}
-				if r.OnProgress != nil {
-					mu.Lock()
-					done++
-					r.OnProgress(Progress{Done: done, Total: total, Key: bc.cell.Key, Cached: cached})
-					mu.Unlock()
+				if st == cellDeferred {
+					// A live worker owns this cell; its result will appear
+					// in the store (or its lease will expire). Put the
+					// token back after a poll interval.
+					time.AfterFunc(lc.Poll, func() {
+						select {
+						case queue <- bc:
+						case <-cctx.Done():
+						}
+					})
+					continue
 				}
+				mu.Lock()
+				done++
+				if r.OnProgress != nil {
+					r.OnProgress(Progress{Done: done, Total: total, Key: bc.cell.Key, Cached: st == cellReplayed})
+				}
+				if done == total {
+					close(allDone)
+				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -403,24 +446,53 @@ func (r *Runner) runCells(ctx context.Context, cells []boundCell) error {
 	return ctx.Err()
 }
 
-// runCell executes one cell — store hit, or simulate and persist —
-// applies its recorded writes to the spec's table, and files the
-// record for the Finish hook. Returns whether the cell was a cache
-// hit.
-func (r *Runner) runCell(ctx context.Context, bc boundCell) (bool, error) {
+// runCell resolves one cell, applies its recorded writes to the spec's
+// table, and files the record for the Finish hook. Without a Store the
+// cell simulates; with one it follows the protocol below, where the
+// claim steps run only under a lease (lc != nil):
+//
+//	replay ── hit ─────────────────────────────→ done (replayed)
+//	   │ miss
+//	claim ── held by a live worker ────────────→ deferred (re-queued)
+//	   │ acquired (fresh, refreshed, or stolen)
+//	replay ── hit (holder finished in between) → release, done (replayed)
+//	   │ miss
+//	simulate, persist, release ────────────────→ done (simulated)
+func (r *Runner) runCell(ctx context.Context, bc boundCell, lc *LeaseConfig) (cellStatus, error) {
 	seed := CellSeed(bc.cell.Key) ^ r.Seed
 	var hash string
 	if r.Store != nil {
 		h, err := store.HashSpec(r.cellSpec(bc, seed))
 		if err != nil {
-			return false, err
+			return 0, err
 		}
 		hash = h
 		if ok, err := r.replayCell(bc, hash); err != nil || ok {
-			return ok, err
+			return cellReplayed, err
 		}
 	}
-	return false, r.simulateCell(ctx, bc, seed, hash)
+	if lc != nil {
+		cl, err := r.Store.Claim(hash, lc.Owner, lc.TTL)
+		if err != nil {
+			return 0, err
+		}
+		if !cl.Acquired {
+			r.Metrics.Counter("exp_cells_deferred_total").Add(1)
+			return cellDeferred, nil
+		}
+		r.Metrics.Counter("exp_cells_claimed_total").Add(1)
+		if cl.Stolen {
+			r.Metrics.Counter("exp_cells_stolen_total").Add(1)
+		}
+		defer r.Store.Release(hash, lc.Owner)
+		// The holder may have finished between our miss and the claim
+		// (its release made the hash claimable again); one more replay
+		// check under the lease avoids simulating a stored cell.
+		if ok, err := r.replayCell(bc, hash); err != nil || ok {
+			return cellReplayed, err
+		}
+	}
+	return cellSimulated, r.simulateCell(ctx, bc, seed, hash)
 }
 
 // replayCell applies the record stored under hash, if any. A read error
@@ -491,23 +563,15 @@ func (r *Runner) simulateCell(ctx context.Context, bc boundCell, seed int64, has
 }
 
 // cellSpec assembles the full specification a cell result is addressed
-// by: experiment family, cell key, the axes derived from the key
-// (workload, scheduler, topology, machine size, message size), the
-// effective seed, and the caller's StoreBase fields (network
+// by: experiment family, cell key, the effective seed, the cell's own
+// Spec fields, and the caller's StoreBase fields (network
 // configuration, code version).
 func (r *Runner) cellSpec(bc boundCell, seed int64) store.Spec {
 	s := store.Spec{}
-	for k, v := range KeyFields(bc.cell.Key) {
-		s[k] = v
-	}
-	for k, v := range bc.cell.Spec {
-		s[k] = v
-	}
-	for k, v := range r.StoreBase {
-		s[k] = v
-	}
-	// The explicit fields win over anything key-derived: the spec name
-	// is the authoritative family (they differ for e.g. "table5-32").
+	maps.Copy(s, bc.cell.Spec)
+	maps.Copy(s, r.StoreBase)
+	// The spec name is the authoritative family: it differs from the
+	// key's first segment for e.g. "table5-32".
 	s["family"] = bc.spec.Name
 	s["cell"] = bc.cell.Key
 	// Seeds are 63-bit: encoded as a decimal string so canonical JSON
@@ -531,10 +595,4 @@ func applyWrites(t *Table, writes []store.Write) error {
 		t.Cells[w.Row][w.Col] = w.Val
 	}
 	return nil
-}
-
-// runSpec is the serial-compatible entry used by the per-figure helper
-// functions: run the spec on all CPUs and return its table.
-func runSpec(spec *TableSpec) (*Table, error) {
-	return NewRunner(0).RunTable(context.Background(), spec)
 }

@@ -3,7 +3,10 @@ package exp
 import (
 	"context"
 	"fmt"
+	"maps"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -342,27 +345,66 @@ func TestStoreProgressMarksCachedCells(t *testing.T) {
 	}
 }
 
-func TestKeyFields(t *testing.T) {
-	for key, want := range map[string]map[string]any{
-		"fig5/LEX/N32/256B": {
-			"family": "fig5", "scheduler": "LEX", "n": 32, "bytes": 256,
-		},
-		"topology/stencil2d/torus2d/GS/N256": {
-			"family": "topology", "workload": "stencil2d", "topology": "torus2d",
-			"scheduler": "GS", "n": 256,
-		},
-		"table11/LS/10%/256B": {
-			"family": "table11", "scheduler": "LS", "density_pct": 10, "bytes": 256,
-		},
-		"ablation-async/LEX-async/0B": {
-			"family": "ablation-async", "scheduler": "LEX", "variant": "LEX-async", "bytes": 0,
-		},
-	} {
-		got := KeyFields(key)
-		for k, v := range want {
-			if fmt.Sprint(got[k]) != fmt.Sprint(v) {
-				t.Errorf("KeyFields(%q)[%s] = %v, want %v (all: %v)", key, k, got[k], v, got)
+// cellHash is the content hash the runner addresses cell c of spec by.
+func cellHash(t *testing.T, r *Runner, spec *TableSpec, c Cell) string {
+	t.Helper()
+	h, err := store.HashSpec(r.cellSpec(boundCell{spec: spec, cell: c}, CellSeed(c.Key)^r.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// assertCellSpecKeys pins what the stored cell key of family is
+// addressed by: its family, key and seed, the sweep-wide StoreBase
+// fields, and exactly the cell's own Spec fields named in extra —
+// nothing parsed back out of the key.
+func assertCellSpecKeys(t *testing.T, family, key string, extra ...string) {
+	t.Helper()
+	cfg := network.DefaultConfig()
+	r := &Runner{Seed: 7, StoreBase: StoreBase(cfg)}
+	specs, err := FamilySpecs(family, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bc *boundCell
+	for _, s := range specs {
+		for _, c := range s.Cells {
+			if c.Key == key {
+				bc = &boundCell{spec: s, cell: c}
 			}
 		}
+	}
+	if bc == nil {
+		t.Fatalf("no cell %s in family %s", key, family)
+	}
+	seed := CellSeed(key) ^ r.Seed
+	got := r.cellSpec(*bc, seed)
+	want := append([]string{"family", "cell", "seed", "config", "code_version"}, extra...)
+	slices.Sort(want)
+	if keys := slices.Sorted(maps.Keys(got)); !slices.Equal(keys, want) {
+		t.Fatalf("cellSpec(%s) keys = %v, want %v", key, keys, want)
+	}
+	if got["family"] != family || got["cell"] != key || got["seed"] != strconv.FormatInt(seed, 10) {
+		t.Fatalf("cellSpec = %v, want family %s, cell %s, seed %d", got, family, key, seed)
+	}
+	for _, k := range extra {
+		if got[k] != bc.cell.Spec[k] {
+			t.Fatalf("cellSpec(%s)[%s] = %v, want the cell's %v", key, k, got[k], bc.cell.Spec[k])
+		}
+	}
+}
+
+// TestKeyFields: a cell whose Spec is empty is addressed by its family,
+// key, seed and StoreBase alone. "transpose" is both a workload and a
+// collective; the collectives cell still carries no field beyond its key.
+func TestKeyFields(t *testing.T) {
+	for _, c := range []struct{ family, key string }{
+		{"fig5", "fig5/LEX/N32/256B"},
+		{"topology", "topology/stencil2d/torus2d/GS/N256"},
+		{"table11", "table11/LS/10%/256B"},
+		{"collectives", "collectives/transpose/N16/sched"},
+	} {
+		assertCellSpecKeys(t, c.family, c.key)
 	}
 }

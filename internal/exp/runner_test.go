@@ -139,39 +139,54 @@ func TestRunnerErrorPropagatesWithCellKey(t *testing.T) {
 // TestRunnerCancellationStopsWorkers parks every in-flight cell on
 // ctx.Done and fails one: the error must cancel the shared context,
 // unblock the parked workers, and prevent any further cell from
-// starting — without waiting on timeouts.
+// starting — without waiting on timeouts. The leased row runs the same
+// sweep as one worker of a fleet over a disk store.
 func TestRunnerCancellationStopsWorkers(t *testing.T) {
 	const workers = 4
-	var started, lateStarts atomic.Int64
-	boom := errors.New("boom")
-	spec := &TableSpec{Name: "t"}
-	// Workers 2..4 park until cancelled; worker 1 errors immediately
-	// after the others are in flight.
-	for i := 0; i < workers-1; i++ {
-		spec.AddCell(fmt.Sprintf("t/parked%d", i), func(ctx context.Context, _ int64, rec *Rec) error {
-			started.Add(1)
-			<-ctx.Done()
-			return nil
+	for _, tc := range []struct {
+		name   string
+		runner func(t *testing.T) *Runner
+	}{
+		{"plain", func(t *testing.T) *Runner { return &Runner{Workers: workers} }},
+		{"leased", func(t *testing.T) *Runner {
+			r := storeRunner(t, t.TempDir(), workers)
+			r.Lease = &LeaseConfig{Owner: "w1"}
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var started, lateStarts atomic.Int64
+			boom := errors.New("boom")
+			spec := &TableSpec{Name: "t"}
+			// Workers 2..4 park until cancelled; worker 1 errors
+			// immediately after the others are in flight.
+			for i := 0; i < workers-1; i++ {
+				spec.AddCell(fmt.Sprintf("t/parked%d", i), func(ctx context.Context, _ int64, rec *Rec) error {
+					started.Add(1)
+					<-ctx.Done()
+					return nil
+				})
+			}
+			spec.AddCell("t/fails", func(ctx context.Context, _ int64, rec *Rec) error {
+				for started.Load() < workers-1 {
+					runtime.Gosched()
+				}
+				return boom
+			})
+			for i := 0; i < 100; i++ {
+				spec.AddCell(fmt.Sprintf("t/late%d", i), func(ctx context.Context, _ int64, rec *Rec) error {
+					lateStarts.Add(1)
+					return nil
+				})
+			}
+			err := tc.runner(t).Run(context.Background(), spec)
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			if lateStarts.Load() != 0 {
+				t.Fatalf("%d cells started after cancellation", lateStarts.Load())
+			}
 		})
-	}
-	spec.AddCell("t/fails", func(ctx context.Context, _ int64, rec *Rec) error {
-		for started.Load() < workers-1 {
-			runtime.Gosched()
-		}
-		return boom
-	})
-	for i := 0; i < 100; i++ {
-		spec.AddCell(fmt.Sprintf("t/late%d", i), func(ctx context.Context, _ int64, rec *Rec) error {
-			lateStarts.Add(1)
-			return nil
-		})
-	}
-	err := (&Runner{Workers: workers}).Run(context.Background(), spec)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if lateStarts.Load() != 0 {
-		t.Fatalf("%d cells started after cancellation", lateStarts.Load())
 	}
 }
 

@@ -19,11 +19,9 @@ var Fig5MessageSizes = []int{0, 16, 64, 256, 512, 1024, 2048}
 // MachineSizes is the machine-size sweep of Figures 6-8 and 11.
 var MachineSizes = []int{16, 32, 64, 128, 256}
 
-// Fig5 reproduces Figure 5: complete-exchange time versus message size
-// on a 32-node machine for all four algorithms.
-func Fig5(cfg network.Config) (*Table, error) { return runSpec(Fig5Spec(cfg)) }
-
-// Fig5Spec builds Figure 5 as one cell per (algorithm, message size).
+// Fig5Spec reproduces Figure 5: complete-exchange time versus message
+// size on a 32-node machine for all four algorithms, one cell per
+// (algorithm, message size).
 func Fig5Spec(cfg network.Config) *TableSpec {
 	return exchangeSweepBySizeSpec("fig5",
 		"Figure 5: Complete exchange on 32 nodes (ms)", 32, Fig5MessageSizes, cfg)
@@ -57,30 +55,21 @@ func exchangeSweepBySizeSpec(name, title string, n int, sizes []int, cfg network
 	return spec
 }
 
-// Fig6 reproduces Figure 6: complete exchange versus machine size at 0
-// and 256 bytes.
-func Fig6(cfg network.Config) (*Table, error) { return runSpec(Fig6Spec(cfg)) }
-
-// Fig6Spec builds Figure 6 as one cell per (machine size, message size,
+// Fig6Spec reproduces Figure 6: complete exchange versus machine size
+// at 0 and 256 bytes, one cell per (machine size, message size,
 // algorithm).
 func Fig6Spec(cfg network.Config) *TableSpec {
 	return exchangeSweepByMachineSpec("fig6",
 		"Figure 6: Complete exchange vs machine size, 0 B and 256 B (ms)", []int{0, 256}, cfg)
 }
 
-// Fig7 reproduces Figure 7 (512-byte messages).
-func Fig7(cfg network.Config) (*Table, error) { return runSpec(Fig7Spec(cfg)) }
-
-// Fig7Spec builds Figure 7.
+// Fig7Spec reproduces Figure 7 (512-byte messages).
 func Fig7Spec(cfg network.Config) *TableSpec {
 	return exchangeSweepByMachineSpec("fig7",
 		"Figure 7: Complete exchange vs machine size, 512 B (ms)", []int{512}, cfg)
 }
 
-// Fig8 reproduces Figure 8 (1920-byte messages).
-func Fig8(cfg network.Config) (*Table, error) { return runSpec(Fig8Spec(cfg)) }
-
-// Fig8Spec builds Figure 8.
+// Fig8Spec reproduces Figure 8 (1920-byte messages).
 func Fig8Spec(cfg network.Config) *TableSpec {
 	return exchangeSweepByMachineSpec("fig8",
 		"Figure 8: Complete exchange vs machine size, 1920 B (ms)", []int{1920}, cfg)
@@ -130,14 +119,10 @@ func exchangeSweepByMachineSpec(name, title string, sizes []int, cfg network.Con
 // Table5Sizes are the array sizes of the paper's Table 5.
 var Table5Sizes = []int{256, 512, 1024, 2048}
 
-// Table5 reproduces Table 5: 2-D FFT wall time for every exchange
-// algorithm on the given machine size. Array sizes above maxSize are
-// skipped (the 2048x2048 runs are host-expensive).
-func Table5(nprocs int, maxSize int, cfg network.Config) (*Table, error) {
-	return runSpec(Table5Spec(nprocs, maxSize, cfg))
-}
-
-// Table5Spec builds Table 5 as one cell per (array size, algorithm).
+// Table5Spec reproduces Table 5: 2-D FFT wall time for every exchange
+// algorithm on the given machine size, one cell per (array size,
+// algorithm). Array sizes above maxSize are skipped (the 2048x2048 runs
+// are host-expensive).
 // Each cell regenerates its own input matrix from the size-derived seed,
 // so cells share no mutable state.
 func Table5Spec(nprocs int, maxSize int, cfg network.Config) *TableSpec {
@@ -195,11 +180,9 @@ func fftInput(rows, cols int, seed int64) [][]complex128 {
 // Fig10Sizes are the broadcast message sizes swept in Figure 10.
 var Fig10Sizes = []int{0, 64, 256, 1024, 2048, 4096, 8192}
 
-// Fig10 reproduces Figure 10: broadcast time versus message size on 32
-// nodes for LIB, REB and the system broadcast.
-func Fig10(cfg network.Config) (*Table, error) { return runSpec(Fig10Spec(cfg)) }
-
-// Fig10Spec builds Figure 10 as one cell per (algorithm, message size).
+// Fig10Spec reproduces Figure 10: broadcast time versus message size on
+// 32 nodes for LIB, REB and the system broadcast, one cell per
+// (algorithm, message size).
 func Fig10Spec(cfg network.Config) *TableSpec {
 	algs := []string{"LIB", "REB", "SYS"}
 	rows := make([]string, len(Fig10Sizes))
@@ -229,12 +212,9 @@ func Fig10Spec(cfg network.Config) *TableSpec {
 	return spec
 }
 
-// Fig11 reproduces Figure 11: REB versus the system broadcast across
-// machine sizes for several message sizes.
-func Fig11(cfg network.Config) (*Table, error) { return runSpec(Fig11Spec(cfg)) }
-
-// Fig11Spec builds Figure 11 as one cell per (algorithm, machine size,
-// message size).
+// Fig11Spec reproduces Figure 11: REB versus the system broadcast
+// across machine sizes for several message sizes, one cell per
+// (algorithm, machine size, message size).
 func Fig11Spec(cfg network.Config) *TableSpec {
 	sizes := []int{256, 1024, 4096}
 	var cols []string
@@ -278,13 +258,11 @@ var (
 	Table11Sizes     = []int{256, 512}
 )
 
-// Table11 reproduces Table 11: the four irregular schedulers on synthetic
-// patterns of 10/25/50/75 % density with 256- and 512-byte messages on 32
-// processors, with the paper's milliseconds alongside.
-func Table11(cfg network.Config) (*Table, error) { return runSpec(Table11Spec(cfg)) }
-
-// Table11Spec builds Table 11 as one cell per (algorithm, density,
-// message size). Pattern seeds stay fixed so the table is canonical.
+// Table11Spec reproduces Table 11: the four irregular schedulers on
+// synthetic patterns of 10/25/50/75 % density with 256- and 512-byte
+// messages on 32 processors, with the paper's milliseconds alongside.
+// One cell per (algorithm, density, message size); pattern seeds stay
+// fixed so the table is canonical.
 func Table11Spec(cfg network.Config) *TableSpec {
 	var cols []string
 	for _, d := range Table11Densities {
@@ -360,20 +338,9 @@ func RealPatterns(nprocs int) ([]pattern.Matrix, error) {
 	return out, nil
 }
 
-// Table12 reproduces Table 12: the four schedulers on the real halo
-// patterns (CG 16K and the four Euler meshes) on 32 processors.
-func Table12(cfg network.Config) (*Table, []RealPatternResult, error) {
-	spec, results, err := Table12Spec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := runSpec(spec); err != nil {
-		return nil, nil, err
-	}
-	return spec.Table, *results, nil
-}
-
-// Table12Spec builds Table 12 as one cell per (problem, algorithm). The
+// Table12Spec reproduces Table 12: the four schedulers on the real halo
+// patterns (CG 16K and the four Euler meshes) on 32 processors, one
+// cell per (problem, algorithm). The
 // halo patterns are generated up front (deterministically) and shared
 // read-only by the cells; the per-problem result structs are assembled
 // by the Finish hook. The results slice is populated once the spec has

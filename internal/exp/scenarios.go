@@ -25,9 +25,6 @@ const ScenarioBytes = 256
 // are canonical; only the stochastic generators consume it.
 func scenarioSeed(n int) int64 { return int64(n) }
 
-// Scenarios runs the scenario catalogue sweep serially.
-func Scenarios(cfg network.Config) (*Table, error) { return runSpec(ScenariosSpec(cfg)) }
-
 // ScenariosSpec builds the scenario sweep: every catalogue workload
 // scheduled with each of LS/PS/BS/GS at every scenario machine size,
 // one cell per (workload, size, algorithm).
@@ -78,9 +75,6 @@ func ScenariosSpec(cfg network.Config) *TableSpec {
 // ScenarioStatsSize is the machine size of the per-pattern statistics
 // table.
 const ScenarioStatsSize = 64
-
-// ScenarioStats runs the per-workload statistics table serially.
-func ScenarioStats(cfg network.Config) (*Table, error) { return runSpec(ScenarioStatsSpec(cfg)) }
 
 // ScenarioStatsSpec builds the per-pattern statistics table of the
 // catalogue at ScenarioStatsSize nodes: message count, density, sizes,
@@ -134,9 +128,6 @@ const CollectiveBytes = 256
 
 // denseCollectives move Theta(N^2) messages.
 var denseCollectives = map[string]bool{"allgather": true, "transpose": true}
-
-// Collectives runs the collectives scaling sweep serially.
-func Collectives(cfg network.Config) (*Table, error) { return runSpec(CollectivesSpec(cfg)) }
 
 // CollectivesSpec builds the collectives sweep: every collective run
 // both as a direct CMMD node program and as its traffic matrix scheduled

@@ -62,7 +62,7 @@ func TestScenariosCoverage(t *testing.T) {
 
 func TestScenarioStatsValues(t *testing.T) {
 	cfg := network.DefaultConfig()
-	tab, err := ScenarioStats(cfg)
+	tab, err := runTable(ScenarioStatsSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ var TopologyNames = []string{"fat-tree", "torus2d", "hypercube", "dragonfly"}
 // TopologyBytes is the per-message size of the topology sweep.
 const TopologyBytes = 256
 
-// Topology runs one machine size of the topology sweep serially.
-func Topology(cfg network.Config, n int) (*Table, error) { return runSpec(TopologySpec(cfg, n)) }
-
 // TopologySpecs builds the topology sweep, one table per machine size.
 func TopologySpecs(cfg network.Config) []*TableSpec {
 	specs := make([]*TableSpec, len(TopologySizes))

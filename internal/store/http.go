@@ -67,7 +67,7 @@ func NewHTTPBackend(base string) (*HTTPBackend, error) {
 // same hash); claim because re-claiming under the same owner is a
 // refresh; release and invalidate because removing twice removes once.
 // Without this, one transient network error inside a leased sweep
-// would become runCellLeased's firstErr and cancel every in-flight
+// would become the sweep's first cell error and cancel every in-flight
 // worker — a fleet built to survive worker deaths would die of a
 // single dropped packet.
 func (b *HTTPBackend) doRetry(mk func() (*http.Request, error)) (*http.Response, error) {

@@ -1,8 +1,7 @@
 // Package store is a content-addressed, on-disk experiment-result
 // store. Each record is one experiment cell's output, keyed by a stable
 // hash of the cell's full specification — experiment family, cell name,
-// derived axes (workload, scheduler, topology, machine size), seed,
-// network configuration, and a code-version salt — so a result is
+// seed, network configuration, and a code-version salt — so a result is
 // reusable exactly when everything that could influence it is
 // unchanged, and invalidated for free when any of it changes (the hash
 // changes, so the old entry simply never matches again).
