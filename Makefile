@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-test bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check serve-smoke obs-smoke workers-smoke profile loc
+.PHONY: build test race bench bench-smoke bench-test bench-json bench-baseline cover perf-check lint vet fmt-check tables examples linkcheck api api-check profile loc
 
 build:
 	$(GO) build ./...
@@ -84,30 +84,6 @@ examples:
 # Verify that every relative markdown link in the repo resolves.
 linkcheck:
 	$(GO) run ./cmd/linkcheck
-
-# End-to-end smoke test of cmd/cmserve over real HTTP: served bodies
-# byte-identical to -oneshot, repeats hit the store, and sweep output
-# byte-identical to cmexp stdout on a shared store (CI's serve-smoke
-# step; see scripts/serve_smoke.sh).
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
-# End-to-end smoke test of the observability layer: /v1/metrics serves
-# Prometheus text whose counters move with real requests and agree
-# with /v1/stats, and `cmexp -timeline` writes valid, deterministic
-# Chrome trace-event files (CI's obs-smoke step; see
-# scripts/obs_smoke.sh).
-obs-smoke:
-	sh scripts/obs_smoke.sh
-
-# End-to-end smoke test of the distributed sweep fabric: a two-worker
-# `cmexp -workers` fleet sharing a cmserve-hosted HTTP store, one
-# worker SIGKILLed mid-sweep — the survivor steals the dead worker's
-# expired leases and completes, a final -resume is 100% replayed, and
-# both outputs are byte-identical to a storeless run (CI's
-# workers-smoke step; see scripts/workers_smoke.sh).
-workers-smoke:
-	sh scripts/workers_smoke.sh
 
 # CPU + heap profiles of the topology benchmark (the perf gate's
 # workload) via the standard pprof flags; inspect with

@@ -53,7 +53,7 @@
 // The store directory is shared with cmexp: a sweep warmed by `cmexp
 // -store DIR` serves the same cells without re-simulating, and job
 // payloads written by the daemon survive restarts. Stop with SIGINT or
-// SIGTERM; in-flight requests drain before exit.
+// SIGTERM; in-flight requests drain, then the store index is flushed.
 package main
 
 import (
@@ -95,7 +95,7 @@ func main() {
 func run(addr, dir string, workers, queue int, timeout time.Duration, pprofAddr, oneshot string) error {
 	cfg := network.DefaultConfig()
 	if oneshot != "" {
-		return runOneshot(oneshot, cfg)
+		return runOneshot(oneshot, os.Stdin, os.Stdout, cfg)
 	}
 
 	if pprofAddr != "" {
@@ -116,19 +116,10 @@ func run(addr, dir string, workers, queue int, timeout time.Duration, pprofAddr,
 		}()
 	}
 
-	var st store.Backend
-	if dir != "" {
-		var err error
-		if st, err = store.OpenBackend(dir); err != nil {
-			return err
-		}
+	srv, st, err := newServer(cfg, dir, workers, queue, timeout)
+	if err != nil {
+		return err
 	}
-	opts := []serve.Option{serve.WithQueueDepth(queue), serve.WithTimeout(timeout)}
-	if workers > 0 {
-		opts = append(opts, serve.WithWorkers(workers))
-	}
-	srv := serve.New(cfg, st, opts...)
-
 	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
@@ -152,21 +143,43 @@ func run(addr, dir string, workers, queue int, timeout time.Duration, pprofAddr,
 	fmt.Fprintln(os.Stderr, "cmserve: shutting down, draining in-flight requests")
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return err
+	err = hs.Shutdown(sctx)
+	if st != nil {
+		// Puts only mark the index stale; persist it once, now that the
+		// drained server adds no more records.
+		if ferr := st.Flush(); err == nil {
+			err = ferr
+		}
 	}
-	return nil
+	return err
+}
+
+// newServer opens the store at dir (none when empty) and builds the
+// daemon over it.
+func newServer(cfg network.Config, dir string, workers, queue int, timeout time.Duration) (*serve.Server, store.Backend, error) {
+	var st store.Backend
+	if dir != "" {
+		var err error
+		if st, err = store.OpenBackend(dir); err != nil {
+			return nil, nil, err
+		}
+	}
+	opts := []serve.Option{serve.WithQueueDepth(queue), serve.WithTimeout(timeout)}
+	if workers > 0 {
+		opts = append(opts, serve.WithWorkers(workers))
+	}
+	return serve.New(cfg, st, opts...), st, nil
 }
 
 // runOneshot runs one job spec through the exact serving path —
 // validation, hashing, simulation, canonical encoding — without a
 // server or a store, and prints the payload bytes a daemon would
-// respond with.
-func runOneshot(path string, cfg network.Config) error {
+// respond with. Path "-" reads the spec from stdin.
+func runOneshot(path string, stdin io.Reader, stdout io.Writer, cfg network.Config) error {
 	var data []byte
 	var err error
 	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
+		data, err = io.ReadAll(stdin)
 	} else {
 		data, err = os.ReadFile(path)
 	}
@@ -183,6 +196,6 @@ func runOneshot(path string, cfg network.Config) error {
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(payload)
+	_, err = stdout.Write(payload)
 	return err
 }

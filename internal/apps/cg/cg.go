@@ -65,9 +65,6 @@ func (a *CSR) MatVec(x, y []float64) {
 	}
 }
 
-// NNZ returns the number of stored entries.
-func (a *CSR) NNZ() int { return len(a.Vals) }
-
 // SolveSequential runs plain CG to relative residual tol, returning the
 // solution and iteration count. The single-machine oracle for the
 // distributed solver.

@@ -180,14 +180,6 @@ func (c Config) WireBytes(userBytes int) int {
 	return packets * c.PacketSize
 }
 
-// TransferSeconds returns wire bytes / rate as float seconds.
-func TransferSeconds(bytes int, rate float64) float64 {
-	if bytes <= 0 || rate <= 0 {
-		return 0
-	}
-	return float64(bytes) / rate
-}
-
 // MemCopyTime returns the virtual time to copy n bytes node-locally.
 func (c Config) MemCopyTime(n int) sim.Time {
 	if n <= 0 {

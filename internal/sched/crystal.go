@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cmmd"
-	"repro/internal/pattern"
 )
 
 // crystalHeaderBytes is the per-message routing header the crystal
@@ -30,8 +29,13 @@ func runCrystalMetrics(req Request) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	lg := LgN(n)
+	// trains[node][d] is the packet train node sends across dimension
+	// d; its peer unpacks exactly those items once its Recv returns.
+	trains := make([][][]crystalItem, n)
 	delivered := make([][]int, n) // delivered[dst] = bytes received per origin
 	for i := range delivered {
+		trains[i] = make([][]crystalItem, lg)
 		delivered[i] = make([]int, n)
 	}
 	elapsed, err := m.Run(func(node *cmmd.Node) {
@@ -42,17 +46,18 @@ func runCrystalMetrics(req Request) (*Metrics, error) {
 				items = append(items, crystalItem{origin: me, dest: dst, bytes: p[me][dst]})
 			}
 		}
-		for d := LgN(n) - 1; d >= 0; d-- {
+		for d := lg - 1; d >= 0; d-- {
 			peer := me ^ (1 << uint(d))
-			var keep []crystalItem
-			sendBytes := 0
+			var keep, train []crystalItem
 			for _, it := range items {
 				if (it.dest>>uint(d))&1 != (me>>uint(d))&1 {
-					sendBytes += it.bytes + crystalHeaderBytes
+					train = append(train, it)
 				} else {
 					keep = append(keep, it)
 				}
 			}
+			trains[me][d] = train
+			sendBytes := crystalTrainBytes(train)
 			node.MemCopy(sendBytes) // pack the outgoing train
 			if me < peer {
 				node.Recv(peer, d)
@@ -61,16 +66,8 @@ func runCrystalMetrics(req Request) (*Metrics, error) {
 				node.SendN(peer, d, sendBytes)
 				node.Recv(peer, d)
 			}
-			// The incoming train is the peer's crossing set for this
-			// round; reconstruct it from the global pattern (host-side
-			// bookkeeping; the simulated cost is the transfer above plus
-			// this unpack copy).
-			incoming := crystalCrossing(p, peer, d, n)
-			inBytes := 0
-			for _, it := range incoming {
-				inBytes += it.bytes + crystalHeaderBytes
-			}
-			node.MemCopy(inBytes) // unpack
+			incoming := trains[peer][d]
+			node.MemCopy(crystalTrainBytes(incoming)) // unpack
 			items = append(keep, incoming...)
 		}
 		for _, it := range items {
@@ -92,48 +89,22 @@ func runCrystalMetrics(req Request) (*Metrics, error) {
 			}
 		}
 	}
-	met := &Metrics{Steps: LgN(n), MaxFanIn: 1}
+	met := &Metrics{Steps: lg, MaxFanIn: 1}
 	met.Messages = m.Net().TotalFlows()
 	met.TotalBytes = m.UserBytesSent()
 	finishMetrics(met, m, elapsed)
 	return met, nil
 }
 
-// crystalCrossing reconstructs the item set node `owner` holds just
-// before round d that must cross dimension d. This mirrors the routing
-// recursion: a message origin->dest is held at round d by the node whose
-// low bits (below the dimensions already routed) match origin and whose
-// high routed bits match dest.
-
 // crystalItem is one routed message inside a combined train.
 type crystalItem struct{ origin, dest, bytes int }
 
-func crystalCrossing(p pattern.Matrix, owner, d, n int) []crystalItem {
-	var out []crystalItem
-	lg := LgN(n)
-	// Bits lg-1 .. d+1 have been routed: owner's those bits equal the
-	// destination's; bits d..0 still equal the origin's.
-	highMask := 0
-	for b := d + 1; b < lg; b++ {
-		highMask |= 1 << uint(b)
+// crystalTrainBytes is a train's size on the wire: every item's payload
+// plus its routing header.
+func crystalTrainBytes(train []crystalItem) int {
+	total := 0
+	for _, it := range train {
+		total += it.bytes + crystalHeaderBytes
 	}
-	lowMask := (1 << uint(d+1)) - 1
-	for src := 0; src < n; src++ {
-		if src&lowMask != owner&lowMask {
-			continue
-		}
-		for dst := 0; dst < n; dst++ {
-			if p[src][dst] == 0 {
-				continue
-			}
-			if dst&highMask != owner&highMask {
-				continue
-			}
-			if (dst>>uint(d))&1 == (owner>>uint(d))&1 {
-				continue // does not cross this round
-			}
-			out = append(out, crystalItem{src, dst, p[src][dst]})
-		}
-	}
-	return out
+	return total
 }

@@ -181,12 +181,6 @@ func runProgramMetrics(n, steps int, req Request, program func(*cmmd.Node)) (*Me
 	return met, nil
 }
 
-// runBroadcastMetrics is runProgramMetrics for the broadcast programs
-// (root already validated by the registry).
-func runBroadcastMetrics(req Request, steps int, program func(*cmmd.Node)) (*Metrics, error) {
-	return runProgramMetrics(req.N, steps, req, program)
-}
-
 // runREXMetrics executes the store-and-forward recursive exchange; the
 // schedule view supplies the fan-in bound while the counters report the
 // combined messages actually sent.

@@ -93,19 +93,19 @@ var registry = []*Info{
 	{Name: "LIB", Kind: KindBroadcast,
 		Doc: "Linear Broadcast: the root sends to the other N-1 nodes one by one (Section 3.6)",
 		run: func(r Request) (*Metrics, error) {
-			return runBroadcastMetrics(r, 1, libProgram(r.Root, r.Bytes))
+			return runProgramMetrics(r.N, 1, r, libProgram(r.Root, r.Bytes))
 		}},
 	{Name: "REB", Kind: KindBroadcast,
 		Doc: "Recursive Broadcast: lg N doubling steps over the data network (Section 3.6, Figure 9)",
 		run: func(r Request) (*Metrics, error) {
-			return runBroadcastMetrics(r, LgN(r.N), func(nd *cmmd.Node) {
+			return runProgramMetrics(r.N, LgN(r.N), r, func(nd *cmmd.Node) {
 				ExecuteREBNode(nd, r.Root, r.Bytes)
 			})
 		}},
 	{Name: "SYS", Kind: KindBroadcast,
 		Doc: "CMMD system broadcast over the control network's broadcast bandwidth",
 		run: func(r Request) (*Metrics, error) {
-			return runBroadcastMetrics(r, 1, sysProgram(r.Root, r.Bytes))
+			return runProgramMetrics(r.N, 1, r, sysProgram(r.Root, r.Bytes))
 		}},
 	{Name: "LS", Kind: KindIrregular,
 		Doc:  "Linear Scheduling: linear exchange filtered by the communication matrix (Section 4.1)",

@@ -38,6 +38,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	s := New(network.DefaultConfig(), testStore(t))
 	h := s.Handler()
 
+	// A fresh daemon already exposes its serve counters, at zero.
+	fresh := get(h, "/v1/metrics").Body.String()
+	for _, series := range []string{"serve_hits_total", "serve_misses_total", "serve_coalesced_total"} {
+		if got := promValue(t, fresh, series); got != 0 {
+			t.Errorf("fresh daemon: %s = %d, want 0", series, got)
+		}
+	}
+
 	if w := post(h, "/v1/jobs", bexSpec); w.Code != http.StatusOK {
 		t.Fatalf("cold POST: status %d, body %s", w.Code, w.Body)
 	}

@@ -252,6 +252,14 @@ func TestCoalescingThunderingHerd(t *testing.T) {
 	if misses != 1 || coalesced != herd-1 {
 		t.Fatalf("cache split miss=%d coalesced=%d, want 1/%d", misses, coalesced, herd-1)
 	}
+	// The metrics exposition tells the same story.
+	text := get(h, "/v1/metrics").Body.String()
+	if got := promValue(t, text, "serve_misses_total"); got != 1 {
+		t.Fatalf("serve_misses_total = %d after the herd, want 1", got)
+	}
+	if got := promValue(t, text, "serve_coalesced_total"); got != herd-1 {
+		t.Fatalf("serve_coalesced_total = %d after the herd, want %d", got, herd-1)
+	}
 	// The herd's one simulation persisted: the next request is a store
 	// hit without any in-flight leader.
 	w := post(h, "/v1/jobs", spec)

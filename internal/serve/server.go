@@ -399,7 +399,8 @@ func (s *Server) storeGet(hash string) ([]byte, bool) {
 
 // storePut persists a payload record; failures are deliberately
 // swallowed — the cache can only ever cost a re-simulation, never a
-// failed response.
+// failed response. The index is left stale for the store's owner to
+// flush once (cmserve does so after draining).
 func (s *Server) storePut(js JobSpec, hash string, payload []byte) {
 	if s.store == nil {
 		return
@@ -412,9 +413,7 @@ func (s *Server) storePut(js JobSpec, hash string, payload []byte) {
 		return
 	}
 	rec.Payload = json.RawMessage(payload)
-	if s.store.Put(rec) == nil {
-		s.store.Flush()
-	}
+	s.store.Put(rec)
 }
 
 // sweepRequest is the wire form of POST /v1/sweep: experiment families

@@ -45,9 +45,6 @@ func (g *Dragonfly) Name() string { return g.name }
 // N returns the number of nodes.
 func (g *Dragonfly) N() int { return g.groups * g.size }
 
-// Groups returns the group count and group size.
-func (g *Dragonfly) Groups() (groups, size int) { return g.groups, g.size }
-
 // NumLinks returns the number of directed links: 2 node links per node,
 // one router link per group, and one global link per ordered group pair.
 func (g *Dragonfly) NumLinks() int {

@@ -97,9 +97,6 @@ func (f *FatTree) N() int { return f.tree.N() }
 // NumLinks returns the number of directed links.
 func (f *FatTree) NumLinks() int { return f.nLinks }
 
-// Tree returns the underlying grouping structure.
-func (f *FatTree) Tree() *fattree.Topology { return f.tree }
-
 // linkIndex returns the index of the level-l bundle of cluster g in the
 // given direction (l >= 1).
 func (f *FatTree) linkIndex(level, group int, up bool) int {

@@ -111,6 +111,7 @@ func (l *Library) storeGet(hash string) (*Trace, bool) {
 
 // storePut persists a freshly recorded trace under its input hash;
 // failures are swallowed — the store can only ever cost a re-recording.
+// The index is left stale for the store's owner to flush once.
 func (l *Library) storePut(tr *Trace, cfg network.Config, hash string) {
 	if l.st == nil {
 		return
@@ -127,7 +128,5 @@ func (l *Library) storePut(tr *Trace, cfg network.Config, hash string) {
 		return
 	}
 	rec.Payload = json.RawMessage(payload)
-	if l.st.Put(rec) == nil {
-		l.st.Flush()
-	}
+	l.st.Put(rec)
 }
