@@ -17,7 +17,8 @@ import (
 	"strings"
 
 	"repro/cm5"
-	"repro/internal/fattree"
+	"repro/internal/network"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -43,8 +44,12 @@ func main() {
 	fmt.Printf("%s schedule, %d steps, %d messages, %d bytes total:\n\n%s\n",
 		s.Algorithm, s.NumSteps(), s.Messages(), s.TotalBytes(), s.Table())
 	if *global {
-		topo := fattree.MustNew(s.N)
-		fmt.Printf("top-of-tree crossings per step: %v\n", s.GlobalExchangesPerStep(topo))
+		tree, err := topo.NewFatTree(s.N, network.DefaultConfig().TopologyRates())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "schedview:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("top-of-tree crossings per step: %v\n", s.GlobalExchangesPerStep(tree))
 	}
 }
 

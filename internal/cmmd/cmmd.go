@@ -24,7 +24,6 @@ package cmmd
 import (
 	"fmt"
 
-	"repro/internal/fattree"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -264,8 +263,7 @@ func (n *Node) Stats() (sends, recvs int, userBytes int64) {
 // hardware broadcast/combine tree.
 type Machine struct {
 	eng   *sim.Engine
-	topo  *fattree.Topology // control-network tree (and default data topology shape)
-	data  topo.Topology     // data-network link graph
+	data  topo.Topology // data-network link graph
 	net   *network.DataNet
 	ctrl  *network.ControlNet
 	cfg   network.Config
@@ -315,17 +313,16 @@ func NewMachineOn(data topo.Topology, cfg network.Config) (*Machine, error) {
 	if data == nil {
 		return nil, fmt.Errorf("cmmd: nil topology")
 	}
-	ctrlTree, err := fattree.New(data.N())
+	levels, err := topo.FatTreeLevels(data.N())
 	if err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()
 	m := &Machine{
 		eng:  eng,
-		topo: ctrlTree,
 		data: data,
 		net:  network.NewDataNet(eng, data, cfg),
-		ctrl: network.NewControlNet(ctrlTree, cfg),
+		ctrl: network.NewControlNet(levels, cfg),
 		cfg:  cfg,
 	}
 	m.nodes = make([]*Node, data.N())
@@ -349,10 +346,6 @@ func (m *Machine) N() int { return len(m.nodes) }
 
 // Config returns the timing constants in use.
 func (m *Machine) Config() network.Config { return m.cfg }
-
-// Topology returns the partition's fat-tree grouping structure (the
-// control network's tree, and the default data topology's shape).
-func (m *Machine) Topology() *fattree.Topology { return m.topo }
 
 // DataTopology returns the link graph the data network runs over.
 func (m *Machine) DataTopology() topo.Topology { return m.data }

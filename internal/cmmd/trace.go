@@ -2,7 +2,6 @@ package cmmd
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -71,9 +70,7 @@ func (t *Trace) TotalWait() sim.Time {
 func (t *Trace) Summary(n int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%5s  %8s  %10s  %12s  %12s\n", "node", "msgs", "bytes", "wait total", "wait max")
-	rows := t.BySender(n)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Node < rows[j].Node })
-	for _, r := range rows {
+	for _, r := range t.BySender(n) {
 		fmt.Fprintf(&b, "%5d  %8d  %10d  %9.3f ms  %9.3f ms\n",
 			r.Node, r.Messages, r.Bytes, r.TotalWait.Millis(), r.MaxWait.Millis())
 	}

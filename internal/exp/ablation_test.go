@@ -53,11 +53,21 @@ func TestAblationFatTreeShape(t *testing.T) {
 
 func TestFlatTreeConfig(t *testing.T) {
 	cfg := FlatTreeConfig()
-	if cfg.ClusterUpRate(1) != 4*cfg.NodeLinkRate {
-		t.Fatal("flat tree level 1")
+	tp, err := cfg.FatTree(64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.ClusterUpRate(2) != 16*cfg.NodeLinkRate {
-		t.Fatal("flat tree level 2")
+	// Every level-l uplink carries the full 4^l node rate.
+	seen := map[int]bool{}
+	for i := 0; i < tp.NumLinks(); i++ {
+		l := tp.Link(i)
+		if want := float64(int(1)<<(2*uint(l.Level))) * cfg.NodeLinkRate; l.Cap != want {
+			t.Fatalf("flat tree link %s: cap %v, want %v", l.Name, l.Cap, want)
+		}
+		seen[l.Level] = true
+	}
+	if !seen[1] || !seen[2] {
+		t.Fatalf("expected levels 1 and 2, saw %v", seen)
 	}
 }
 

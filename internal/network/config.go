@@ -196,16 +196,3 @@ func (c Config) ComputeTime(flops float64) sim.Time {
 	}
 	return sim.FromSeconds(flops / c.FlopRate)
 }
-
-// ClusterUpRate returns the aggregate one-direction capacity between a
-// level-l cluster and the level above it.
-func (c Config) ClusterUpRate(level int) float64 {
-	if level <= 0 {
-		return c.NodeLinkRate
-	}
-	if level == 1 {
-		return c.Cluster4UpRate
-	}
-	nodes := 1 << (2 * uint(level))
-	return float64(nodes) * c.ThinRatePerNode
-}

@@ -1,9 +1,6 @@
 package network
 
-import (
-	"repro/internal/fattree"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // ControlNet models the CM-5 control network: a dedicated hardware tree
 // for broadcasts, reductions, parallel-prefix operations, and barriers.
@@ -13,20 +10,20 @@ import (
 // ControlNet computes collective durations; the coordination of node
 // arrival is done by the messaging layer on top.
 type ControlNet struct {
-	topo *fattree.Topology
-	cfg  Config
+	levels int
+	cfg    Config
 }
 
-// NewControlNet creates a control network over the same partition as the
-// data network.
-func NewControlNet(topo *fattree.Topology, cfg Config) *ControlNet {
-	return &ControlNet{topo: topo, cfg: cfg}
+// NewControlNet creates a control network over a partition whose tree
+// has the given number of levels (topo.FatTreeLevels of its size).
+func NewControlNet(levels int, cfg Config) *ControlNet {
+	return &ControlNet{levels: levels, cfg: cfg}
 }
 
 // base is the latency floor of any control-network operation: the base
 // latency plus per-level propagation up and down the tree.
 func (c *ControlNet) base() sim.Time {
-	return c.cfg.CtrlBaseLatency + sim.Time(2*c.topo.Levels())*c.cfg.CtrlPerLevelTime
+	return c.cfg.CtrlBaseLatency + sim.Time(2*c.levels)*c.cfg.CtrlPerLevelTime
 }
 
 // BarrierTime returns the duration of a full-partition barrier.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fattree"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -47,19 +46,24 @@ func TestWireBytes(t *testing.T) {
 	}
 }
 
-func TestClusterUpRate(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.ClusterUpRate(0) != 20e6 {
-		t.Error("level 0")
+func TestFatTreeLinkRates(t *testing.T) {
+	tp, err := DefaultConfig().FatTree(256)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.ClusterUpRate(1) != 40e6 {
-		t.Error("level 1 should be 40 MB/s")
+	// Node links 20 MB/s, cluster-of-4 uplinks 40 MB/s, and 4^l * 5 MB/s
+	// above level 1 (the 256-node tree has no level-4 uplink).
+	want := map[int]float64{0: 20e6, 1: 40e6, 2: 16 * 5e6, 3: 64 * 5e6}
+	seen := map[int]bool{}
+	for i := 0; i < tp.NumLinks(); i++ {
+		l := tp.Link(i)
+		if l.Cap != want[l.Level] {
+			t.Fatalf("link %s: cap %v, want %v", l.Name, l.Cap, want[l.Level])
+		}
+		seen[l.Level] = true
 	}
-	if cfg.ClusterUpRate(2) != 16*5e6 {
-		t.Error("level 2 should be 80 MB/s")
-	}
-	if cfg.ClusterUpRate(3) != 64*5e6 {
-		t.Error("level 3 should be 320 MB/s")
+	if len(seen) != len(want) {
+		t.Fatalf("levels seen %v, want 0-3", seen)
 	}
 }
 
@@ -272,8 +276,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestControlNetTimes(t *testing.T) {
-	topo := fattree.MustNew(32)
-	ctrl := NewControlNet(topo, DefaultConfig())
+	ctrl := NewControlNet(3, DefaultConfig()) // a 32-node tree
 	bt := ctrl.BarrierTime()
 	if bt < 2*sim.Microsecond || bt > 10*sim.Microsecond {
 		t.Fatalf("barrier = %v ns, want a few microseconds", int64(bt))
@@ -294,8 +297,8 @@ func TestControlNetTimes(t *testing.T) {
 
 func TestControlNetLatencyGrowsWithMachine(t *testing.T) {
 	cfg := DefaultConfig()
-	small := NewControlNet(fattree.MustNew(16), cfg)
-	big := NewControlNet(fattree.MustNew(1024), cfg)
+	small := NewControlNet(2, cfg) // 16 nodes
+	big := NewControlNet(5, cfg)   // 1024 nodes
 	if big.BarrierTime() <= small.BarrierTime() {
 		t.Fatal("bigger machine should have slightly higher control latency")
 	}

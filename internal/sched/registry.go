@@ -238,7 +238,9 @@ func (a *Info) Execute(req Request) (*Metrics, error) {
 }
 
 // validate rejects requests the algorithm's planner or runner would
-// otherwise panic on: machine sizes that are not powers of two, missing
+// otherwise panic on, or that no machine could run: machine sizes that
+// are not powers of two in [2, topo.MaxNodes] (checked before planning,
+// since an oversized LEX alone plans N*(N-1) transfers), missing
 // patterns, out-of-range broadcast roots.
 func (a *Info) validate(req Request) error {
 	if a.Kind == KindIrregular {
@@ -246,12 +248,12 @@ func (a *Info) validate(req Request) error {
 			return fmt.Errorf("sched: %s needs a communication pattern", a.Name)
 		}
 		if n := req.Pattern.N(); !validMachineSize(n) {
-			return fmt.Errorf("sched: %s pattern size %d must be a power of two >= 2", a.Name, n)
+			return fmt.Errorf("sched: %s pattern size %d must be a power of two in [2, %d]", a.Name, n, topo.MaxNodes)
 		}
 		return nil
 	}
 	if !validMachineSize(req.N) {
-		return fmt.Errorf("sched: %s machine size %d must be a power of two >= 2", a.Name, req.N)
+		return fmt.Errorf("sched: %s machine size %d must be a power of two in [2, %d]", a.Name, req.N, topo.MaxNodes)
 	}
 	if a.Kind == KindBroadcast && (req.Root < 0 || req.Root >= req.N) {
 		return fmt.Errorf("sched: %s root %d out of range [0,%d)", a.Name, req.Root, req.N)
@@ -259,4 +261,4 @@ func (a *Info) validate(req Request) error {
 	return nil
 }
 
-func validMachineSize(n int) bool { return n >= 2 && n&(n-1) == 0 }
+func validMachineSize(n int) bool { return n >= 2 && n <= topo.MaxNodes && n&(n-1) == 0 }

@@ -62,6 +62,21 @@ func TestExecuteValidates(t *testing.T) {
 	}
 }
 
+// A machine larger than the CM-5's 16384 nodes is rejected before
+// anything is planned: LEX alone would build N*(N-1) transfers.
+func TestOversizedMachineRejectedBeforePlanning(t *testing.T) {
+	req := Request{N: 32768, Bytes: 1, Cfg: network.DefaultConfig()}
+	for _, name := range FamilyNames(KindExchange) {
+		inf, _ := Lookup(name)
+		if _, err := inf.Plan(req); err == nil || !strings.Contains(err.Error(), "[2, 16384]") {
+			t.Errorf("%s Plan at N=32768: %v, want an error naming [2, 16384]", name, err)
+		}
+		if _, err := inf.Execute(req); err == nil || !strings.Contains(err.Error(), "[2, 16384]") {
+			t.Errorf("%s Execute at N=32768: %v, want an error naming [2, 16384]", name, err)
+		}
+	}
+}
+
 // The registry's executor must agree exactly with the classic
 // standalone exchange and crystal-router runners it replaced: these
 // are the makespans those runners produced at N=16, in nanoseconds.

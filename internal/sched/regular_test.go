@@ -4,8 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fattree"
 	"repro/internal/pattern"
+	"repro/internal/topo"
 )
 
 // TestLinearExchangeScheduleTable1 reproduces the paper's Table 1: the
@@ -168,9 +168,12 @@ func TestCheckNRejectsBadCounts(t *testing.T) {
 // the steps (16 per step there, 0 elsewhere), while BEX spreads them
 // across all N-1 steps.
 func TestBEXSpreadsGlobalExchanges(t *testing.T) {
-	topo := fattree.MustNew(32)
-	pexCounts := PEX(32, 1).GlobalExchangesPerStep(topo)
-	bexCounts := BEX(32, 1).GlobalExchangesPerStep(topo)
+	tree, err := topo.NewFatTree(32, topo.Rates{NodeLink: 20e6, Cluster4Up: 40e6, ThinPerNode: 5e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pexCounts := PEX(32, 1).GlobalExchangesPerStep(tree)
+	bexCounts := BEX(32, 1).GlobalExchangesPerStep(tree)
 
 	// PEX is all-or-nothing: a step either crosses the top with every
 	// pair (16 of them) or not at all. With the 16-node-half boundary of

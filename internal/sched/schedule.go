@@ -33,8 +33,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/fattree"
 	"repro/internal/pattern"
+	"repro/internal/topo"
 )
 
 // Transfer is one point-to-point message within a step.
@@ -179,7 +179,7 @@ func (s *Schedule) CheckPairwise() error {
 // This is the metric behind the paper's Section 3.4 claim: PEX packs all
 // global exchanges into 3N/4 of its steps while BEX spreads them evenly
 // across all N-1 steps.
-func (s *Schedule) GlobalExchangesPerStep(topo *fattree.Topology) []int {
+func (s *Schedule) GlobalExchangesPerStep(tree *topo.FatTree) []int {
 	counts := make([]int, len(s.Steps))
 	for si, st := range s.Steps {
 		type pair struct{ a, b int }
@@ -194,7 +194,7 @@ func (s *Schedule) GlobalExchangesPerStep(topo *fattree.Topology) []int {
 				continue
 			}
 			seen[p] = true
-			if topo.CrossesTop(tr.Src, tr.Dst) {
+			if tree.CrossesTop(tr.Src, tr.Dst) {
 				counts[si]++
 			}
 		}

@@ -156,6 +156,7 @@ func TestJobMalformedSpecs(t *testing.T) {
 		{"unknown algorithm", `{"algorithm":"XEX","n":8}`, "unknown algorithm"},
 		{"unknown algorithm lists names", `{"algorithm":"XEX","n":8}`, "BEX"},
 		{"n not power of two", `{"algorithm":"BEX","n":31}`, "power of two"},
+		{"n above the CM-5's 16384", `{"algorithm":"LEX","n":32768}`, "[2, 16384]"},
 		{"negative bytes", `{"algorithm":"BEX","n":8,"bytes":-1}`, "must be >= 0"},
 		{"irregular without workload", `{"algorithm":"GS","n":16}`, "set workload"},
 		{"unknown workload", `{"algorithm":"GS","n":16,"workload":"nope"}`, "unknown workload"},

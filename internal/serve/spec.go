@@ -39,7 +39,7 @@ const SyntheticWorkload = "synthetic"
 type JobSpec struct {
 	// Algorithm is a registry name (GET /v1/algorithms lists them).
 	Algorithm string `json:"algorithm"`
-	// N is the machine size, a power of two >= 2.
+	// N is the machine size, a power of two in [2, 16384].
 	N int `json:"n"`
 	// Bytes is the per-message size (exchanges: per pair; broadcasts:
 	// total; collectives: per block; workloads: per matrix entry).
@@ -87,8 +87,8 @@ func (js JobSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if js.N < 2 || js.N&(js.N-1) != 0 {
-		return fmt.Errorf("n %d must be a power of two >= 2", js.N)
+	if js.N < 2 || js.N > topo.MaxNodes || js.N&(js.N-1) != 0 {
+		return fmt.Errorf("n %d must be a power of two in [2, %d]", js.N, topo.MaxNodes)
 	}
 	if js.Bytes < 0 {
 		return fmt.Errorf("bytes %d must be >= 0", js.Bytes)

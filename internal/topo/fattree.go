@@ -1,31 +1,47 @@
 package topo
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/fattree"
-)
+// MaxNodes is the largest CM-5 partition, and so the largest machine
+// the simulator builds.
+const MaxNodes = 16384
 
-// FatTree is the 4-ary fat tree as a link-capacity graph: each node has
-// an injection and an ejection link, and each level-l cluster has one
-// aggregated uplink bundle and one downlink bundle toward the level
-// above. Capacities come either from the calibrated CM-5 rates
-// (NewFatTree — 20/10/5 MB/s envelope, byte-identical to the original
-// hardwired solver) or from a geometric taper (NewTaperedFatTree).
+// FatTreeLevels returns the number of grouping levels of the CM-5's
+// 4-ary fat tree over an n-node partition: the smallest L with 4^L >= n.
+// Nodes are grouped in clusters of 4 (level 1), clusters of 4 clusters
+// (level 2, 16 nodes), and so on; level L holds the whole partition.
+// n must be a power of two in [2, MaxNodes]: CM-5 partitions came in
+// powers of two, not necessarily of four.
+func FatTreeLevels(n int) (int, error) {
+	if n < 2 || n > MaxNodes || n&(n-1) != 0 {
+		return 0, fmt.Errorf("topo: machine size %d must be a power of two in [2, %d]", n, MaxNodes)
+	}
+	return (log2(n) + 1) / 2, nil
+}
+
+// FatTree is the CM-5's 4-ary fat tree as a link-capacity graph: each
+// node has an injection and an ejection link, and each level-l cluster
+// has one aggregated uplink bundle and one downlink bundle toward the
+// level above. Node a's level-l cluster is a >> 2l, so two nodes meet
+// at their least common ancestor (LCA): the smallest level whose
+// clusters they share. The LCA sets both a message's route and its
+// peak bandwidth: the CM-5 delivered 20 MB/s within a cluster of 4,
+// 10 MB/s within a cluster of 16, and a guaranteed 5 MB/s system-wide
+// (the tree "thins" toward the root). Capacities come either from the
+// calibrated CM-5 rates (NewFatTree) or from a geometric taper
+// (NewTaperedFatTree).
 type FatTree struct {
-	tree    *fattree.Topology
-	name    string
-	caps    []float64 // caps[l]: capacity of one level-l cluster uplink (l >= 1)
-	offset  []int     // offset[l]: first link index of level l's bundles
-	nodeCap float64
-	nLinks  int
+	n, levels int
+	name      string
+	caps      []float64 // caps[l]: capacity of one level-l cluster uplink (l >= 1)
+	offset    []int     // offset[l]: first link index of level l's bundles
+	nodeCap   float64
+	nLinks    int
 }
 
 // NewFatTree builds the CM-5 fat tree over n nodes with the machine's
 // rate constants: node links at r.NodeLink, level-1 cluster uplinks at
-// r.Cluster4Up, and level-l uplinks (l >= 2) at 4^l * r.ThinPerNode —
-// exactly the capacities the original fixed-topology solver used, so
-// simulations over this topology are byte-identical to it.
+// r.Cluster4Up, and level-l uplinks (l >= 2) at 4^l * r.ThinPerNode.
 func NewFatTree(n int, r Rates) (*FatTree, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -57,7 +73,7 @@ func NewTaperedFatTree(n int, nodeRate, taper float64) (*FatTree, error) {
 	name := fmt.Sprintf("tapered(%g)", taper)
 	perNode := nodeRate
 	shares := []float64{}
-	for c := 1; c < n; c *= fattree.Arity {
+	for c := 1; c < n; c *= 4 {
 		perNode *= taper
 		shares = append(shares, perNode)
 	}
@@ -68,21 +84,22 @@ func NewTaperedFatTree(n int, nodeRate, taper float64) (*FatTree, error) {
 }
 
 // newFatTree assembles the link index space: node links first (2 per
-// node), then per level l = 1..Levels()-1 the cluster bundles (2 per
+// node), then per level l = 1..levels-1 the cluster bundles (2 per
 // cluster). The top level has no uplink — routes never cross it.
 func newFatTree(n int, name string, nodeCap float64, capAt func(level int) float64) (*FatTree, error) {
-	tree, err := fattree.New(n)
+	levels, err := FatTreeLevels(n)
 	if err != nil {
 		return nil, err
 	}
-	f := &FatTree{tree: tree, name: name, nodeCap: nodeCap}
-	f.caps = make([]float64, tree.Levels())
-	f.offset = make([]int, tree.Levels())
+	f := &FatTree{n: n, levels: levels, name: name, nodeCap: nodeCap}
+	f.caps = make([]float64, levels)
+	f.offset = make([]int, levels)
 	idx := 2 * n
-	for l := 1; l < tree.Levels(); l++ {
+	for l := 1; l < levels; l++ {
 		f.caps[l] = capAt(l)
 		f.offset[l] = idx
-		idx += 2 * tree.NumGroups(l)
+		clusters := (n + 1<<(2*uint(l)) - 1) >> (2 * uint(l))
+		idx += 2 * clusters
 	}
 	f.nLinks = idx
 	return f, nil
@@ -92,7 +109,7 @@ func newFatTree(n int, name string, nodeCap float64, capAt func(level int) float
 func (f *FatTree) Name() string { return f.name }
 
 // N returns the number of nodes.
-func (f *FatTree) N() int { return f.tree.N() }
+func (f *FatTree) N() int { return f.n }
 
 // NumLinks returns the number of directed links.
 func (f *FatTree) NumLinks() int { return f.nLinks }
@@ -107,42 +124,76 @@ func (f *FatTree) linkIndex(level, group int, up bool) int {
 	return i
 }
 
-// Link returns the static description of link i.
+// Link returns the static description of link i. Its name is
+// L<level>/<group>/<up|down>: level 0 is node group's injection (up)
+// or ejection (down) link, level l >= 1 the bundle joining level-l
+// cluster group to the level above.
 func (f *FatTree) Link(i int) Link {
 	if i < 0 || i >= f.nLinks {
 		panic(fmt.Sprintf("topo: fat-tree link %d out of range [0,%d)", i, f.nLinks))
 	}
-	if i < 2*f.tree.N() {
-		id := fattree.LinkID{Level: 0, Group: i / 2, Up: i%2 == 0}
-		return Link{Cap: f.nodeCap, Level: 0, Name: id.String()}
-	}
-	level := len(f.offset) - 1
-	for l := 1; l < len(f.offset); l++ {
-		if i < f.offset[l] {
-			level = l - 1
-			break
+	level, rel, capacity := 0, i, f.nodeCap
+	if i >= 2*f.n {
+		level = len(f.offset) - 1
+		for l := 1; l < len(f.offset); l++ {
+			if i < f.offset[l] {
+				level = l - 1
+				break
+			}
 		}
+		rel, capacity = i-f.offset[level], f.caps[level]
 	}
-	rel := i - f.offset[level]
-	id := fattree.LinkID{Level: level, Group: rel / 2, Up: rel%2 == 0}
-	return Link{Cap: f.caps[level], Level: level, Name: id.String()}
+	dir := "up"
+	if rel%2 == 1 {
+		dir = "down"
+	}
+	return Link{Cap: capacity, Level: level, Name: fmt.Sprintf("L%d/%d/%s", level, rel/2, dir)}
+}
+
+// lca returns the least-common-ancestor level of distinct nodes a and
+// b: the smallest l >= 1 at which they share a cluster.
+func (f *FatTree) lca(a, b int) int {
+	l := 1
+	for a>>(2*uint(l)) != b>>(2*uint(l)) {
+		l++
+	}
+	return l
 }
 
 // RouteAppend appends src's injection link, the uplinks of src's
 // clusters below the LCA, the downlinks of dst's clusters below the
-// LCA, and dst's ejection link — the exact traversal order of the
-// original solver.
+// LCA, and dst's ejection link: 2*LCA links in all.
 func (f *FatTree) RouteAppend(buf []int, src, dst int) []int {
 	if src == dst {
 		return buf
 	}
-	lca := f.tree.LCALevel(src, dst)
+	f.checkNode(src)
+	f.checkNode(dst)
+	lca := f.lca(src, dst)
 	buf = append(buf, 2*src)
 	for l := 1; l < lca; l++ {
-		buf = append(buf, f.linkIndex(l, f.tree.Group(src, l), true))
+		buf = append(buf, f.linkIndex(l, src>>(2*uint(l)), true))
 	}
 	for l := lca - 1; l >= 1; l-- {
-		buf = append(buf, f.linkIndex(l, f.tree.Group(dst, l), false))
+		buf = append(buf, f.linkIndex(l, dst>>(2*uint(l)), false))
 	}
 	return append(buf, 2*dst+1)
+}
+
+// CrossesTop reports whether a message between a and b crosses the top
+// of the partition's tree: their LCA is the root. This is the paper's
+// "global exchange" predicate behind BEX's advantage over PEX.
+func (f *FatTree) CrossesTop(a, b int) bool {
+	if a == b {
+		return false
+	}
+	f.checkNode(a)
+	f.checkNode(b)
+	return f.lca(a, b) == f.levels
+}
+
+func (f *FatTree) checkNode(node int) {
+	if node < 0 || node >= f.n {
+		panic(fmt.Sprintf("topo: fat-tree node %d out of range [0,%d)", node, f.n))
+	}
 }

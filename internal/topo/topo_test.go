@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fattree"
 	"repro/internal/topo"
 )
 
@@ -70,41 +69,98 @@ func TestRegistryRoutesAllSizes(t *testing.T) {
 	}
 }
 
-// The fat-tree adapter must agree with the original fattree package on
-// every route: same number of links, same traversal order, same
-// level/group/direction per hop, and the original solver's capacities.
+// refLink is one link of the reference fat tree: the bundle joining a
+// level-l cluster of 4^l nodes (a single node at level 0) to the level
+// above, in one direction.
+type refLink struct {
+	level, group int
+	up           bool
+}
+
+func (l refLink) String() string {
+	dir := "down"
+	if l.up {
+		dir = "up"
+	}
+	return fmt.Sprintf("L%d/%d/%s", l.level, l.group, dir)
+}
+
+// refCluster returns the index of the level-l cluster holding node: the
+// nodes are laid out in clusters of 4^l consecutive ids.
+func refCluster(node, level int) int { return node / (1 << (2 * level)) }
+
+// refLCA returns the smallest level at which distinct nodes a and b
+// share a cluster.
+func refLCA(a, b int) int {
+	l := 1
+	for refCluster(a, l) != refCluster(b, l) {
+		l++
+	}
+	return l
+}
+
+// refRoute is the fat-tree route written from the grouping definition:
+// src's injection link, the uplinks of src's clusters below the LCA,
+// the downlinks of dst's clusters below it, and dst's ejection link.
+func refRoute(src, dst int) []refLink {
+	if src == dst {
+		return nil
+	}
+	lca := refLCA(src, dst)
+	route := []refLink{{0, src, true}}
+	for l := 1; l < lca; l++ {
+		route = append(route, refLink{l, refCluster(src, l), true})
+	}
+	for l := lca - 1; l >= 1; l-- {
+		route = append(route, refLink{l, refCluster(dst, l), false})
+	}
+	return append(route, refLink{0, dst, false})
+}
+
+// The fat tree must route every pair exactly as the grouping definition
+// says: same links, same traversal order.
 func TestFatTreeMatchesOriginalRouting(t *testing.T) {
 	for _, n := range []int{2, 8, 16, 32, 64} {
 		ft, err := topo.NewFatTree(n, testRates)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := fattree.MustNew(n)
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				want := tree.Route(src, dst)
+				want := refRoute(src, dst)
 				got := ft.RouteAppend(nil, src, dst)
 				if len(got) != len(want) {
-					t.Fatalf("n=%d %d->%d: %d links, original %d", n, src, dst, len(got), len(want))
+					t.Fatalf("n=%d %d->%d: %d links, reference %d", n, src, dst, len(got), len(want))
 				}
 				for i, li := range got {
-					l := ft.Link(li)
-					if l.Name != want[i].String() {
-						t.Fatalf("n=%d %d->%d hop %d: %s, original %s", n, src, dst, i, l.Name, want[i])
-					}
-					wantCap := 20e6
-					switch {
-					case want[i].Level == 1:
-						wantCap = 40e6
-					case want[i].Level >= 2:
-						wantCap = float64(int(1)<<(2*uint(want[i].Level))) * 5e6
-					}
-					if l.Cap != wantCap {
-						t.Fatalf("n=%d link %s: cap %v, want %v", n, want[i], l.Cap, wantCap)
+					if name := ft.Link(li).Name; name != want[i].String() {
+						t.Fatalf("n=%d %d->%d hop %d: %s, reference %s", n, src, dst, i, name, want[i])
 					}
 				}
 			}
 		}
+	}
+}
+
+func TestFatTreeOutOfRangePanics(t *testing.T) {
+	ft, err := topo.NewFatTree(8, testRates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"route from node 8":  func() { ft.RouteAppend(nil, 8, 0) },
+		"route to node -1":   func() { ft.RouteAppend(nil, 0, -1) },
+		"crosses from 9":     func() { ft.CrossesTop(9, 0) },
+		"link past the last": func() { ft.Link(ft.NumLinks()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
