@@ -41,6 +41,10 @@
 // Plan builds the explicit Schedule a job would run without executing
 // it — the registry's planners are the paper's Tables 1-4 and 7-10.
 //
+// A Spec is a job as plain data — algorithm, sizes, workload or trace,
+// topology, seed, faults — in the JSON form the cmserve daemon and
+// cmtrace -spec read (DecodeSpec); Spec.Job lowers it onto a Job.
+//
 // Node-level programming (the CMMD model: synchronous Send/Recv,
 // barriers, control-network collectives) is available through
 // NewMachine. The collectives library (Collectives, CollectivePattern,

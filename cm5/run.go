@@ -152,6 +152,14 @@ func ScheduleJob(s *Schedule, opts ...JobOption) Job {
 // Algorithm returns the job's algorithm (zero for ScheduleJob).
 func (j Job) Algorithm() Algorithm { return j.alg }
 
+// Pattern returns the job's communication pattern (nil for jobs
+// without one).
+func (j Job) Pattern() Pattern { return j.pattern }
+
+// Topology returns the job's data-network topology (nil for the
+// default CM-5 fat tree).
+func (j Job) Topology() Topology { return j.topo }
+
 // request lowers the job onto the internal registry request.
 func (j Job) request() sched.Request {
 	cfg := j.cfg

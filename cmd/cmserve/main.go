@@ -57,9 +57,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -70,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cm5"
 	"repro/internal/network"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -176,23 +175,20 @@ func newServer(cfg network.Config, dir string, workers, queue int, timeout time.
 // server or a store, and prints the payload bytes a daemon would
 // respond with. Path "-" reads the spec from stdin.
 func runOneshot(path string, stdin io.Reader, stdout io.Writer, cfg network.Config) error {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(stdin)
-	} else {
-		data, err = os.ReadFile(path)
+	r := stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
 	}
+	spec, err := cm5.DecodeSpec(r)
 	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var js serve.JobSpec
-	if err := dec.Decode(&js); err != nil {
 		return fmt.Errorf("bad job spec: %w", err)
 	}
-	payload, err := serve.RunOne(js, cfg)
+	payload, err := serve.RunOne(serve.JobSpec(spec), cfg)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,8 @@ func TestOneshotMatchesServedJob(t *testing.T) {
 }
 
 // TestOneshotStdinAndBadSpec: "-" reads the spec from stdin, and a
-// spec with a field the API does not know is rejected, not ignored.
+// spec with a field the API does not know, or with anything after it,
+// is rejected, not ignored.
 func TestOneshotStdinAndBadSpec(t *testing.T) {
 	specFile := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(specFile, []byte(bexSpec), 0o644); err != nil {
@@ -94,13 +95,21 @@ func TestOneshotStdinAndBadSpec(t *testing.T) {
 		t.Fatalf("stdin spec differs from file spec:\nstdin: %s\nfile:  %s", got, want)
 	}
 
-	var out bytes.Buffer
-	err := runOneshot("-", strings.NewReader(`{"algorithm":"BEX","n":32,"bytes":1024,"nodes":32}`),
-		&out, network.DefaultConfig())
-	if err == nil || !strings.Contains(err.Error(), "bad job spec") {
-		t.Fatalf("unknown field: err %v, want a bad job spec error", err)
+	if got := oneshot(t, "-", bexSpec+"\n\t \n"); !bytes.Equal(got, oneshot(t, specFile, "")) {
+		t.Fatalf("trailing whitespace changed the payload: %s", got)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("rejected spec still printed %q", out.String())
+
+	for _, tc := range []struct{ name, spec, want string }{
+		{"unknown field", `{"algorithm":"BEX","n":32,"bytes":1024,"nodes":32}`, "unknown field"},
+		{"second spec", bexSpec + `{"algorithm":"LEX"}`, "trailing data"},
+	} {
+		var out bytes.Buffer
+		err := runOneshot("-", strings.NewReader(tc.spec), &out, network.DefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), "bad job spec") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err %v, want a bad job spec error naming %q", tc.name, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s: rejected spec still printed %q", tc.name, out.String())
+		}
 	}
 }

@@ -1,9 +1,9 @@
-// Command cmtrace runs one algorithm from the cm5 registry with message
-// tracing enabled and reports where the time went: per-node rendezvous
-// waiting, per-step completion times, and per-level fat-tree
-// utilization. This is the diagnostic view behind the paper's
-// scheduling arguments — LEX's wait explosion and PEX's bursty use of
-// the thinned upper tree are directly visible.
+// Command cmtrace runs one job with message tracing enabled and
+// reports where the time went: per-node rendezvous waiting, per-step
+// completion times, and per-level fat-tree utilization. This is the
+// diagnostic view behind the paper's scheduling arguments — LEX's wait
+// explosion and PEX's bursty use of the thinned upper tree are
+// directly visible.
 //
 // Usage:
 //
@@ -12,20 +12,29 @@
 //	cmtrace -alg gs -n 64 -pattern hotspot -nodes
 //	cmtrace -alg bex -n 32 -bytes 1024 -steps
 //	cmtrace -alg bs -n 64 -pattern bisection -topo dragonfly -links
+//	cmtrace -spec job.json -links
+//	cmtrace -plan -alg gs -n 16 -density 0.4
 //	cmtrace -record cg -n 16 -out cg16.trace
 //	cmtrace -replay cg16.trace -alg bs -nodes
 //	cmtrace -replay euler -n 8 -alg gs
 //
-// -alg accepts any registered algorithm name (see cm5.Algorithms):
-// exchanges and broadcasts take -n and -bytes, the irregular schedulers
-// trace either a synthetic pattern (-density, -seed) or a catalogue
-// workload (-pattern), and the collectives take -bytes per block.
-// -topo runs the data network over any named topology from
-// cm5.Topologies (fat-tree, tapered, torus2d, torus3d, hypercube,
-// dragonfly) instead of the default CM-5 fat tree.
+// The job is one cm5.Spec, as cmserve's jobs are: -spec FILE|- reads
+// its JSON, otherwise the job flags (-alg -n -bytes -density -seed
+// -pattern -topo -offset -replay -size) fill it; the two exclude each
+// other. -alg accepts any registered algorithm name: exchanges and
+// broadcasts take -n and -bytes, the irregular schedulers a catalogue
+// workload (-pattern) or a synthetic pattern (-density), and the
+// collectives -bytes per block. -topo runs the data network over any
+// named topology from cm5.Topologies instead of the CM-5 fat tree.
+//
 // -steps appends the per-step completion table (schedule-backed
 // algorithms only); -nodes appends the per-node rendezvous wait table;
 // -links appends the busiest-links table from Result.LinkUtilization.
+//
+// -plan prints the job's schedule instead of running it: the pattern
+// (irregular algorithms), the schedule as `cmexp schedules` prints the
+// paper's Tables 1-4 and 7-10, and the per-step count of pairs crossing
+// the top of the fat tree (Section 3.4).
 //
 // -record APP runs one of the bundled applications (cg, fft, euler —
 // see cm5.Traces) for real on -n simulated nodes and writes its
@@ -47,9 +56,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/cm5"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -59,6 +70,9 @@ func main() {
 	}
 }
 
+// jobFlags only fill the job's Spec, so -spec excludes them.
+var jobFlags = []string{"alg", "n", "bytes", "density", "seed", "pattern", "topo", "offset", "replay", "size"}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cmtrace", flag.ContinueOnError)
 	alg := fs.String("alg", "pex", "any registered algorithm (lex|pex|rex|bex, lib|reb|sys, ls|ps|bs|gs, collectives)")
@@ -66,11 +80,14 @@ func run(args []string, out io.Writer) error {
 	bytes := fs.Int("bytes", 256, "bytes per message")
 	density := fs.Float64("density", 0.5, "density for irregular patterns")
 	offset := fs.Int("offset", 1, "offset for the shift algorithm")
-	seed := fs.Int64("seed", 1, "pattern seed")
+	seed := fs.Int64("seed", 1, "seed for patterns, the GSR tie-break and trace recordings")
 	workload := fs.String("pattern", "", "catalogue workload for the irregular schedulers "+
-		"(transpose|butterfly|hotspot|permutation|stencil2d|stencil3d|bisection); empty = synthetic")
+		"(transpose|butterfly|hotspot|permutation|stencil2d|stencil3d|bisection); empty or synthetic = a random pattern of -density")
 	topoName := fs.String("topo", "", "data-network topology "+
 		"(fat-tree|tapered|torus2d|torus3d|hypercube|dragonfly); empty = the CM-5 fat tree")
+	specFile := fs.String("spec", "", "read the job as one JSON spec (cmserve's job form) from this file, - = stdin; "+
+		"excludes the job flags")
+	plan := fs.Bool("plan", false, "print the job's schedule and its top-of-tree crossings instead of running it")
 	perStep := fs.Bool("steps", false, "print the per-step completion table")
 	perNode := fs.Bool("nodes", false, "print the per-node wait table")
 	perLink := fs.Bool("links", false, "print the busiest-links table")
@@ -84,65 +101,72 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *record != "" && *replay != "" {
-		return fmt.Errorf("-record and -replay are mutually exclusive")
-	}
 	if *record != "" {
+		if *replay != "" || *specFile != "" {
+			return fmt.Errorf("-record cannot be combined with -replay or -spec")
+		}
 		return recordTrace(out, *record, *size, *n, *seed, *outFile)
 	}
 
-	a, err := cm5.LookupAlgorithm(*alg)
-	if err != nil {
-		return err
-	}
-
-	// -replay loads (or records) its trace before the topology is built:
-	// the machine size comes from the trace, not -n.
-	var replayTrace *cm5.AppTrace
-	if *replay != "" {
-		if a.Kind() != cm5.KindIrregular {
-			return fmt.Errorf("-replay needs an irregular scheduler for -alg (ls|ps|bs|gs|gsr|crystal), not %s", a.Name())
+	var spec cm5.Spec
+	traces := cm5.RecordTrace
+	if *specFile != "" {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(jobFlags, f.Name) {
+				err = fmt.Errorf("-spec excludes the job flag -%s", f.Name)
+			}
+		})
+		if err == nil {
+			spec, err = readSpec(*specFile)
 		}
-		if replayTrace, err = loadTrace(*replay, *size, *n, *seed); err != nil {
-			return err
-		}
-		*n = replayTrace.Procs
-	}
-
-	var opts []cm5.JobOption
-	topoLabel := "fat-tree"
-	if *topoName != "" {
-		tp, err := cm5.NewTopology(*topoName, *n)
 		if err != nil {
 			return err
 		}
-		topoLabel = tp.Name()
-		opts = append(opts, cm5.WithTopology(tp))
-	}
-
-	var job cm5.Job
-	switch {
-	case replayTrace != nil:
-		fmt.Fprintf(out, "replaying %s trace: size %d, %d nodes, seed %d, %d recorded events, %d bytes\n",
-			replayTrace.App, replayTrace.Size, replayTrace.Procs, replayTrace.Seed,
-			len(replayTrace.Events), replayTrace.TotalBytes())
-		job = cm5.NewJob(a, 0, 0, append(opts,
-			cm5.WithTraceWorkload(replayTrace), cm5.WithTrace(), cm5.WithSeed(*seed))...)
-	case a.Kind() == cm5.KindIrregular:
-		var p cm5.Pattern
-		if *workload != "" {
-			p, err = cm5.WorkloadPattern(*workload, *n, *bytes, *seed)
-			if err != nil {
-				return err
+	} else {
+		spec = cm5.Spec{Algorithm: *alg, N: *n, Bytes: *bytes, Seed: *seed, Topology: *topoName, Offset: *offset}
+		a, _ := cm5.LookupAlgorithm(*alg) // a miss is Validate's to report
+		switch {
+		case *replay != "":
+			// An existing file is a recorded trace; anything else names a
+			// bundled app to record on the fly.
+			spec.Bytes, spec.Trace, spec.TraceSize = 0, *replay, *size
+			if data, err := os.ReadFile(*replay); err == nil {
+				tr, err := cm5.DecodeTrace(data)
+				if err != nil {
+					return fmt.Errorf("%s: %w", *replay, err)
+				}
+				spec.Trace, spec.TraceSize, spec.N = tr.App, tr.Size, tr.Procs
+				traces = func(string, int, int, int64, cm5.Config) (*cm5.AppTrace, error) { return tr, nil }
 			}
-		} else {
-			p = cm5.SyntheticPattern(*n, *density, *bytes, *seed)
+		case a.Kind() != cm5.KindIrregular:
+		case *workload == "" || *workload == cm5.SyntheticWorkload:
+			spec.Workload, spec.Density = cm5.SyntheticWorkload, *density
+		default:
+			spec.Workload = *workload
 		}
-		job = cm5.PatternJob(a, p, append(opts, cm5.WithTrace(), cm5.WithSeed(*seed))...)
-	default:
-		job = cm5.NewJob(a, *n, *bytes, append(opts, cm5.WithTrace(), cm5.WithOffset(*offset))...)
+	}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 
+	cfg := cm5.DefaultConfig()
+	job, err := spec.Job(cfg, func(app string, size, n int, seed int64, cfg cm5.Config) (*cm5.AppTrace, error) {
+		tr, err := traces(app, size, n, seed, cfg)
+		if err == nil {
+			fmt.Fprintf(out, "replaying %s trace: size %d, %d nodes, seed %d, %d recorded events, %d bytes\n",
+				tr.App, tr.Size, tr.Procs, tr.Seed, len(tr.Events), tr.TotalBytes())
+		}
+		return tr, err
+	})
+	if err != nil {
+		return err
+	}
+	if *plan {
+		return printPlan(out, job, cfg)
+	}
+
+	job = job.With(cm5.WithTrace())
 	if *timelineFile != "" {
 		job = job.With(cm5.WithTimeline(nil))
 	}
@@ -161,10 +185,14 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "%s on %d nodes: %d steps, %d messages, makespan %.3f ms\n",
-		res.Algorithm.Name(), *n, res.Steps, len(res.Trace.Events), res.Elapsed.Millis())
+		res.Algorithm.Name(), spec.N, res.Steps, len(res.Trace.Events), res.Elapsed.Millis())
 	fmt.Fprintf(out, "total rendezvous wait: %.3f ms (%.1f ms per node average)\n",
-		res.Trace.TotalWait().Millis(), res.Trace.TotalWait().Millis()/float64(*n))
+		res.Trace.TotalWait().Millis(), res.Trace.TotalWait().Millis()/float64(spec.N))
 
+	topoLabel := "fat-tree"
+	if tp := job.Topology(); tp != nil {
+		topoLabel = tp.Name()
+	}
 	printLevelUtilization(out, res, topoLabel)
 	if *perStep {
 		printStepTimes(out, res)
@@ -174,8 +202,46 @@ func run(args []string, out io.Writer) error {
 	}
 	if *perNode {
 		fmt.Fprintln(out)
-		fmt.Fprint(out, res.Trace.Summary(*n))
+		fmt.Fprint(out, res.Trace.Summary(spec.N))
 	}
+	return nil
+}
+
+// readSpec implements -spec: one JSON spec from a file, or from stdin
+// for "-".
+func readSpec(path string) (cm5.Spec, error) {
+	f := os.Stdin
+	if path != "-" {
+		var err error
+		if f, err = os.Open(path); err != nil {
+			return cm5.Spec{}, err
+		}
+		defer f.Close()
+	}
+	spec, err := cm5.DecodeSpec(f)
+	if err != nil {
+		return cm5.Spec{}, fmt.Errorf("bad job spec %s: %w", path, err)
+	}
+	return spec, nil
+}
+
+// printPlan implements -plan: the pattern an irregular job schedules,
+// the schedule itself, and its per-step top-of-tree crossings.
+func printPlan(out io.Writer, job cm5.Job, cfg cm5.Config) error {
+	s, err := cm5.Plan(job)
+	if err != nil {
+		return err
+	}
+	if p := job.Pattern(); p != nil {
+		fmt.Fprintf(out, "Pattern (%d processors, %d messages, %.0f%% density):\n%s\n",
+			p.N(), p.Messages(), 100*p.Density(), p)
+	}
+	fmt.Fprint(out, s.Listing())
+	tree, err := topo.NewFatTree(s.N, cfg.TopologyRates())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "top-of-tree crossings per step: %v\n", s.GlobalExchangesPerStep(tree))
 	return nil
 }
 
@@ -200,20 +266,6 @@ func recordTrace(out io.Writer, app string, size, nprocs int, seed int64, outFil
 	fmt.Fprintf(out, "recorded %s: size %d, %d nodes, seed %d -> %s (%d events, %d bytes, span %.3f ms)\n",
 		tr.App, tr.Size, tr.Procs, tr.Seed, outFile, len(tr.Events), tr.TotalBytes(), tr.Span().Millis())
 	return nil
-}
-
-// loadTrace resolves a -replay argument: an existing file parses as a
-// canonical trace; anything else records the named bundled app on the
-// fly (so an app-name miss lists the known names).
-func loadTrace(arg string, size, nprocs int, seed int64) (*cm5.AppTrace, error) {
-	if data, err := os.ReadFile(arg); err == nil {
-		tr, derr := cm5.DecodeTrace(data)
-		if derr != nil {
-			return nil, fmt.Errorf("%s: %w", arg, derr)
-		}
-		return tr, nil
-	}
-	return cm5.RecordTrace(arg, size, nprocs, seed, cm5.DefaultConfig())
 }
 
 // printLevelUtilization renders Result.LevelUtilization as the

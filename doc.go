@@ -16,18 +16,19 @@
 //	cmd/cmexp      regenerate the paper's tables and figures; parallel,
 //	               incremental via the content-addressed result store
 //	               (-store), output as text, JSON or CSV (-format)
-//	cmd/cmtrace    run one algorithm with tracing: rendezvous waits,
+//	cmd/cmtrace    run one job (flags, or the cmserve job JSON via
+//	               -spec) with tracing: rendezvous waits,
 //	               per-level/link utilization, per-step completions;
-//	               -record/-replay capture a bundled application's real
-//	               communication and schedule the recording
+//	               -plan prints its schedule in the paper's table
+//	               style; -record/-replay capture a bundled
+//	               application's real communication and schedule the
+//	               recording
 //	cmd/cmserve    experiment-as-a-service HTTP daemon over the result
 //	               store (single-flight coalescing, streaming sweeps;
 //	               see docs/API.md)
 //	cmd/expdiff    regression verdict between two benchmark reports or
 //	               result stores (CI's perf gate)
 //	cmd/benchjson  topology x algorithm benchmarks as JSON
-//	cmd/schedview  the paper's schedule tables for arbitrary sizes
-//	cmd/meshgen    mesh and halo pattern statistics behind Table 12
 //
 // See README.md for the quickstart, the experiment catalogue, and the
 // repository layout, and ARCHITECTURE.md for the package map.

@@ -446,7 +446,7 @@ func ScheduleTables() string {
 		sched.LEX(8, 1), sched.PEX(8, 1), sched.REX(8, 1), sched.BEX(8, 1),
 		sched.LS(p), sched.PS(p), sched.BS(p), sched.GS(p),
 	} {
-		out += fmt.Sprintf("%s schedule (%d steps):\n%s\n", s.Algorithm, s.NumSteps(), s.Table())
+		out += s.Listing()
 	}
 	return out
 }

@@ -105,20 +105,6 @@ func (pt *Partition) HaloPattern(bytesPerVertex int) pattern.Matrix {
 	return m
 }
 
-// NeighborCounts returns, per processor, how many other processors it
-// exchanges halos with.
-func (pt *Partition) NeighborCounts() []int {
-	counts := make([]int, pt.P)
-	for src := 0; src < pt.P; src++ {
-		for dst := 0; dst < pt.P; dst++ {
-			if len(pt.sendSorted[src][dst]) > 0 {
-				counts[src]++
-			}
-		}
-	}
-	return counts
-}
-
 // WideHaloPattern returns the communication matrix for a distance-2
 // halo exchange: processor q receives every vertex of p within two graph
 // hops of q's owned set. Wider halos model the richer processor

@@ -251,6 +251,12 @@ func (s *Schedule) Table() string {
 	return b.String()
 }
 
+// Listing renders the schedule under a title line naming the algorithm
+// and its step count: one block of cmexp's schedules listing.
+func (s *Schedule) Listing() string {
+	return fmt.Sprintf("%s schedule (%d steps):\n%s\n", s.Algorithm, s.NumSteps(), s.Table())
+}
+
 // stepEntries folds a step's transfers into display entries, pairing
 // opposite transfers into "a<->b" exchanges.
 func stepEntries(st Step) []string {

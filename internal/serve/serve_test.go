@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -116,6 +118,32 @@ func TestJobMissThenHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPinnedJobHashAndBody pins one served job across refactors of the
+// job description: the spec's store hash and its RunOne payload are
+// fixed, so stored records stay reachable and served bytes never move.
+// elapsed_ms 10.515 is Figure 5's BEX 1024 B cell.
+func TestPinnedJobHashAndBody(t *testing.T) {
+	js := JobSpec{Algorithm: "BEX", N: 32, Bytes: 1024}
+	hash, err := js.Hash(network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "e83ed25eb1cd54b36438cfb5bc7291ece8f5117ded3ec8ac320b87d1e8158159"; hash != want {
+		t.Fatalf("hash %s, want %s", hash, want)
+	}
+	payload, err := RunOne(js, network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "bex_n32_1024.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, want) {
+		t.Fatalf("RunOne body moved:\ngot:  %s\nwant: %s", payload, want)
+	}
+}
+
 // TestRunOneByteIdenticalAcrossCalls: a payload is a pure function of its
 // spec, down to the last bit of level_utilization, so a daemon that
 // re-simulates a spec (after an invalidation, or on another host)
@@ -166,6 +194,8 @@ func TestJobMalformedSpecs(t *testing.T) {
 		{"density without synthetic", `{"algorithm":"GS","n":16,"workload":"transpose","density":0.5}`, "only valid with"},
 		{"unknown topology", `{"algorithm":"BEX","n":8,"topology":"mesh"}`, "unknown topology"},
 		{"unknown topology lists names", `{"algorithm":"BEX","n":8,"topology":"mesh"}`, "fat-tree"},
+		{"second object after the spec", `{"algorithm":"BEX","n":32,"bytes":1024}{"algorithm":"LEX"}`, "trailing data"},
+		{"garbage after the spec", `{"algorithm":"BEX","n":32,"bytes":1024} x`, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -506,6 +536,7 @@ func TestSweepValidation(t *testing.T) {
 		{"bad format", `{"experiments":["fig5"],"format":"xml"}`, "unknown format"},
 		{"matches nothing", `{"experiments":["fig5"],"run":"zzz"}`, "matches no cell"},
 		{"unknown field", `{"experiment":["fig5"]}`, "unknown field"},
+		{"trailing data", `{"experiments":["fig5"]}{"experiments":["fig6"]}`, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -280,17 +281,15 @@ func statusFor(err error) int {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.stats.served.Add(1)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var js JobSpec
-	if err := dec.Decode(&js); err != nil {
+	spec, err := cm5.DecodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	if err := js.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
+	js := JobSpec(spec)
 	hash, err := js.Hash(s.cfg)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "hash spec: %v", err)
@@ -332,7 +331,7 @@ func (s *Server) runJob(ctx context.Context, js JobSpec, hash string) ([]byte, s
 			return nil, err
 		}
 		defer release()
-		job, err := js.job(s.cfg, s.traces)
+		job, err := cm5.Spec(js).Job(s.cfg, s.recordedTrace)
 		if err != nil {
 			return nil, err
 		}
@@ -352,6 +351,13 @@ func (s *Server) runJob(ctx context.Context, js JobSpec, hash string) ([]byte, s
 		return payload, nil
 	})
 	return payload, "miss", err
+}
+
+// recordedTrace resolves a trace-driven job's recording through the
+// server's trace library, so each recording is made at most once.
+func (s *Server) recordedTrace(app string, size, n int, seed int64, cfg network.Config) (*cm5.AppTrace, error) {
+	tr, _, err := s.traces.Get(app, size, n, seed, cfg)
+	return tr, err
 }
 
 // admit acquires one simulation slot, waiting in the bounded queue.
@@ -453,6 +459,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+		return
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		httpError(w, http.StatusBadRequest, "bad sweep request: trailing data after the request")
 		return
 	}
 	if len(req.Experiments) == 0 {

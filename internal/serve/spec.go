@@ -12,14 +12,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/cm5"
 	"repro/internal/exp"
 	"repro/internal/network"
-	"repro/internal/pattern"
 	"repro/internal/store"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -28,181 +25,14 @@ import (
 const ResultSchema = "cmserve-result/v1"
 
 // SyntheticWorkload is the extra workload name the job API accepts
-// beyond the scenario catalogue: a random pattern of the given density
-// (cm5.SyntheticPattern), the shape behind the paper's Table 11.
-const SyntheticWorkload = "synthetic"
+// beyond the scenario catalogue; see cm5.SyntheticWorkload.
+const SyntheticWorkload = cm5.SyntheticWorkload
 
-// JobSpec is the wire form of one job request: everything that
-// influences the simulated result. The zero value of every optional
-// field is its canonical default, so two clients describing the same
-// run always hash to the same store record.
-type JobSpec struct {
-	// Algorithm is a registry name (GET /v1/algorithms lists them).
-	Algorithm string `json:"algorithm"`
-	// N is the machine size, a power of two in [2, 16384].
-	N int `json:"n"`
-	// Bytes is the per-message size (exchanges: per pair; broadcasts:
-	// total; collectives: per block; workloads: per matrix entry).
-	Bytes int `json:"bytes,omitempty"`
-	// Workload names a catalogue pattern (GET /v1/workloads) or
-	// "synthetic"; required for irregular schedulers, rejected
-	// otherwise.
-	Workload string `json:"workload,omitempty"`
-	// Density is the synthetic workload's fill fraction in (0, 1];
-	// only valid with workload "synthetic".
-	Density float64 `json:"density,omitempty"`
-	// Trace names a recordable application (GET /v1/traces) whose
-	// recorded communication becomes the job's pattern — the
-	// alternative to Workload for irregular schedulers. The trace is
-	// recorded (or fetched from the store) deterministically from
-	// (trace, trace_size, n, seed, config).
-	Trace string `json:"trace,omitempty"`
-	// TraceSize is the traced application's problem size; 0 means the
-	// app's default. Only valid with Trace.
-	TraceSize int `json:"trace_size,omitempty"`
-	// Topology names the interconnect (GET /v1/topologies); empty means
-	// the calibrated CM-5 fat tree.
-	Topology string `json:"topology,omitempty"`
-	// Seed feeds the workload generator and stochastic planners.
-	Seed int64 `json:"seed,omitempty"`
-	// FaultProfile names a fault profile (GET /v1/faultprofiles) to
-	// inject into the run, built deterministically from the run's
-	// topology and Seed; empty means a healthy machine ("healthy" is a
-	// valid, equivalent value).
-	FaultProfile string `json:"fault_profile,omitempty"`
-	// Root is the broadcast root; Offset the SHIFT distance.
-	Root   int  `json:"root,omitempty"`
-	Offset int  `json:"offset,omitempty"`
-	Async  bool `json:"async,omitempty"`
-}
-
-// Validate resolves the spec against the registries and reports the
-// first problem; the error text carries each registry's known-names
-// listing, exactly as the CLI tools print it.
-func (js JobSpec) Validate() error {
-	if js.Algorithm == "" {
-		return fmt.Errorf("missing algorithm (known: %s)", knownAlgorithms())
-	}
-	a, err := cm5.LookupAlgorithm(js.Algorithm)
-	if err != nil {
-		return err
-	}
-	if js.N < 2 || js.N > topo.MaxNodes || js.N&(js.N-1) != 0 {
-		return fmt.Errorf("n %d must be a power of two in [2, %d]", js.N, topo.MaxNodes)
-	}
-	if js.Bytes < 0 {
-		return fmt.Errorf("bytes %d must be >= 0", js.Bytes)
-	}
-	switch {
-	case js.Trace != "":
-		if a.Kind() != cm5.KindIrregular {
-			return fmt.Errorf("algorithm %s (%s) cannot replay a trace: traces schedule through the irregular schedulers",
-				a.Name(), a.Kind())
-		}
-		if cm5.TraceDoc(js.Trace) == "" {
-			return fmt.Errorf("unknown trace app %q (known: %s)",
-				js.Trace, strings.Join(cm5.Traces(), " "))
-		}
-		if js.Workload != "" || js.Density != 0 {
-			return fmt.Errorf("trace and workload are mutually exclusive")
-		}
-		if js.TraceSize < 0 {
-			return fmt.Errorf("trace_size %d must be >= 0", js.TraceSize)
-		}
-		if js.Bytes != 0 {
-			return fmt.Errorf("bytes is not valid with a trace: message sizes come from the recording")
-		}
-	case js.TraceSize != 0:
-		return fmt.Errorf("trace_size is only valid with a trace")
-	case a.Kind() == cm5.KindIrregular:
-		switch {
-		case js.Workload == "":
-			return fmt.Errorf("algorithm %s schedules a pattern: set workload (known: %s %s) or trace (known: %s)",
-				a.Name(), strings.Join(pattern.WorkloadNames(), " "), SyntheticWorkload,
-				strings.Join(cm5.Traces(), " "))
-		case js.Workload == SyntheticWorkload:
-			if js.Density <= 0 || js.Density > 1 {
-				return fmt.Errorf("synthetic workload density %g must be in (0, 1]", js.Density)
-			}
-		default:
-			if _, ok := pattern.WorkloadByName(js.Workload); !ok {
-				return fmt.Errorf("unknown workload %q (known: %s %s)",
-					js.Workload, strings.Join(pattern.WorkloadNames(), " "), SyntheticWorkload)
-			}
-			if js.Density != 0 {
-				return fmt.Errorf("density is only valid with workload %q", SyntheticWorkload)
-			}
-		}
-	case js.Workload != "" || js.Density != 0:
-		return fmt.Errorf("algorithm %s (%s) takes n and bytes, not a workload",
-			a.Name(), a.Kind())
-	}
-	if js.Topology != "" && topo.Doc(js.Topology) == "" {
-		return fmt.Errorf("unknown topology %q (known: %s)",
-			js.Topology, strings.Join(cm5.Topologies(), " "))
-	}
-	if js.FaultProfile != "" && cm5.FaultProfileDoc(js.FaultProfile) == "" {
-		return fmt.Errorf("unknown fault profile %q (known: %s)",
-			js.FaultProfile, strings.Join(cm5.FaultProfiles(), " "))
-	}
-	return nil
-}
-
-// job lowers a validated spec onto a runnable cm5.Job. Trace-driven
-// jobs resolve their recording through lib — the server's store-backed
-// library, or a memo-only one — so a recorded trace is fetched, not
-// re-run, whenever it is already known.
-func (js JobSpec) job(cfg network.Config, lib *trace.Library) (cm5.Job, error) {
-	a, err := cm5.LookupAlgorithm(js.Algorithm)
-	if err != nil {
-		return cm5.Job{}, err
-	}
-	opts := []cm5.JobOption{
-		cm5.WithConfig(cfg), cm5.WithSeed(js.Seed),
-		cm5.WithRoot(js.Root), cm5.WithOffset(js.Offset),
-		cm5.WithAsync(js.Async),
-	}
-	var tp cm5.Topology
-	if js.Topology != "" {
-		if tp, err = topo.New(js.Topology, js.N, cfg.TopologyRates()); err != nil {
-			return cm5.Job{}, err
-		}
-		opts = append(opts, cm5.WithTopology(tp))
-	}
-	if js.FaultProfile != "" {
-		if tp == nil {
-			// The plan must be built against the same link graph the job
-			// runs on — for topology-less jobs, the config's fat tree.
-			if tp, err = cfg.FatTree(js.N); err != nil {
-				return cm5.Job{}, err
-			}
-		}
-		plan, err := cm5.NewFaultPlan(js.FaultProfile, tp, js.Seed)
-		if err != nil {
-			return cm5.Job{}, err
-		}
-		opts = append(opts, cm5.WithFaults(plan))
-	}
-	if a.Kind() != cm5.KindIrregular {
-		return cm5.NewJob(a, js.N, js.Bytes, opts...), nil
-	}
-	if js.Trace != "" {
-		tr, _, err := lib.Get(js.Trace, js.TraceSize, js.N, js.Seed, cfg)
-		if err != nil {
-			return cm5.Job{}, err
-		}
-		return cm5.NewJob(a, 0, 0, append(opts, cm5.WithTraceWorkload(tr))...), nil
-	}
-	var p cm5.Pattern
-	if js.Workload == SyntheticWorkload {
-		p = cm5.SyntheticPattern(js.N, js.Density, js.Bytes, js.Seed)
-	} else {
-		if p, err = cm5.WorkloadPattern(js.Workload, js.N, js.Bytes, js.Seed); err != nil {
-			return cm5.Job{}, err
-		}
-	}
-	return cm5.PatternJob(a, p, opts...), nil
-}
+// JobSpec is the wire form of one job request: a cm5.Spec, decoded,
+// validated and lowered onto a job by cm5, plus the store hashing that
+// needs exp and store. It is a defined type, not an alias, so Hash and
+// storeSpec are its methods; it marshals exactly as cm5.Spec does.
+type JobSpec cm5.Spec
 
 // storeSpec is the full content-address specification of a job result:
 // every JobSpec field (zero values included, so the canonical JSON is
@@ -313,14 +143,14 @@ func encodeResult(js JobSpec, hash string, res cm5.Result) ([]byte, error) {
 // cmserve -oneshot path — returning the identical payload bytes a
 // served request yields, minus the HTTP around them.
 func RunOne(js JobSpec, cfg network.Config) ([]byte, error) {
-	if err := js.Validate(); err != nil {
+	if err := cm5.Spec(js).Validate(); err != nil {
 		return nil, err
 	}
 	hash, err := js.Hash(cfg)
 	if err != nil {
 		return nil, err
 	}
-	job, err := js.job(cfg, trace.NewLibrary(nil))
+	job, err := cm5.Spec(js).Job(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -329,12 +159,4 @@ func RunOne(js JobSpec, cfg network.Config) ([]byte, error) {
 		return nil, err
 	}
 	return encodeResult(js, hash, res)
-}
-
-func knownAlgorithms() string {
-	var names []string
-	for _, a := range cm5.Algorithms() {
-		names = append(names, a.Name())
-	}
-	return strings.Join(names, " ")
 }
