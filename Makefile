@@ -13,10 +13,12 @@ test:
 # concurrent writers, the serving layer's coalescing/admission paths,
 # and the fault model's scheduler/topology surface (the adaptive
 # scheduler's shared planner runs under the engine's single-process
-# guarantee — the race pass holds it to that). -short trims the
-# heaviest deterministic sweeps; `make test` still runs them raceless.
+# guarantee — the race pass holds it to that), plus the front ends
+# that drive them: the cm5 facade, cmexp's sweep and worker fleet, and
+# cmserve's daemon. -short trims the heaviest deterministic sweeps;
+# `make test` still runs them raceless.
 race:
-	$(GO) test -race -short ./internal/exp/ ./internal/sim/ ./internal/cmmd/ ./internal/network/ ./internal/store/ ./internal/serve/ ./internal/sched/ ./internal/topo/ ./internal/trace/ ./internal/obs/
+	$(GO) test -race -short ./internal/exp/ ./internal/sim/ ./internal/cmmd/ ./internal/network/ ./internal/store/ ./internal/serve/ ./internal/sched/ ./internal/topo/ ./internal/trace/ ./internal/obs/ ./cm5/ ./cmd/cmexp/ ./cmd/cmserve/
 
 # Full-suite run with a coverage profile plus a function summary; on
 # CI's stable leg this IS the test step (one execution, not two), and

@@ -95,6 +95,10 @@
 // full "all" sweep uses every core. Results are deterministic: the
 // rendered tables are byte-identical for any -parallel value, and
 // byte-identical with the result store cold, warm, or disabled.
+//
+// The experiments and the -run, -seed and -format flags describe one
+// exp.Sweep, the body cmserve's POST /v1/sweep takes, and a served
+// sweep's output is byte-identical to cmexp's stdout for it.
 package main
 
 import (
@@ -179,11 +183,6 @@ func main() {
 
 func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options) error {
 	cfg := network.DefaultConfig()
-	format, err := exp.ParseFormat(o.format)
-	if err != nil {
-		return err
-	}
-
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
 		if err != nil {
@@ -216,7 +215,10 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options
 	// picks the backend: a plain path is a local disk store, an
 	// http(s):// URL is a cmserve-hosted one shared by every process
 	// that points at it.
-	var st store.Backend
+	var (
+		st  store.Backend
+		err error
+	)
 	if o.resume && o.storeDir == "" {
 		return fmt.Errorf("-resume requires -store LOC (the store the interrupted sweep was writing)")
 	}
@@ -242,6 +244,29 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options
 			}
 		}
 	}
+	// Planning precedes -invalidate, so a bad sweep deletes nothing.
+	// Only the -procs/-maxsize reshaping of table5 is cmexp's own.
+	var plan *exp.SweepPlan
+	if len(args) > 0 {
+		sw := exp.Sweep{Experiments: args, Run: o.runPat, Seed: o.seed, Format: o.format}
+		plan, err = sw.Plan(cfg, st, func(name string) []*exp.TableSpec {
+			if name != "table5" || (o.procs == 0 && o.maxSize == exp.Table5DefaultMaxSize) {
+				return nil
+			}
+			sizes := exp.Table5DefaultSizes
+			if o.procs != 0 {
+				sizes = []int{o.procs}
+			}
+			var specs []*exp.TableSpec
+			for _, n := range sizes {
+				specs = append(specs, exp.Table5Spec(n, o.maxSize, cfg))
+			}
+			return specs
+		})
+		if err != nil {
+			return err
+		}
+	}
 	if o.invalidate != "" {
 		re, err := regexp.Compile(o.invalidate)
 		if err != nil {
@@ -252,46 +277,12 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options
 			return err
 		}
 		fmt.Fprintf(stderr, "cmexp: invalidated %d stored cells matching %q\n", n, o.invalidate)
-		if len(args) == 0 {
+		if plan == nil {
 			return nil
 		}
 	}
 
-	// Expand the grouping aliases, preserving the canonical print
-	// order, then build the specs for every requested experiment; their
-	// cells all feed one shared worker pool. The name catalogue is
-	// shared with the cmserve sweep endpoint (exp.FamilySpecs); only
-	// table5 stays here because its -procs/-maxsize flags change its
-	// shape.
-	names, err := exp.ExpandFamilies(args)
-	if err != nil {
-		return err
-	}
-	var specs []*exp.TableSpec
-	printSchedules := false
-	for _, name := range names {
-		switch {
-		case name == "schedules":
-			printSchedules = true
-		case name == "table5" && (o.procs != 0 || o.maxSize != exp.Table5DefaultMaxSize):
-			sizes := []int{32, 256}
-			if o.procs != 0 {
-				sizes = []int{o.procs}
-			}
-			for _, n := range sizes {
-				specs = append(specs, exp.Table5Spec(n, o.maxSize, cfg))
-			}
-		default:
-			ss, err := exp.FamilySpecsStore(name, cfg, st)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, ss...)
-		}
-	}
-
 	runner := exp.NewRunner(o.parallel)
-	runner.Seed = o.seed
 	runner.TimelineDir = o.timelineDir
 	// The registry is cmexp's own sweep bookkeeping: the runner counts
 	// replayed and simulated cells (and per-cell wall time) into it, and
@@ -299,36 +290,8 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options
 	// passive, so the rendered tables stay byte-identical.
 	reg := cm5.NewMetricsRegistry()
 	runner.Metrics = reg
-	if st != nil {
-		runner.Store = st
-		runner.StoreBase = exp.StoreBase(cfg)
-		if o.workers {
-			runner.Lease = &exp.LeaseConfig{Owner: o.workerID, TTL: o.leaseTTL}
-		}
-	}
-	if o.runPat != "" {
-		re, err := regexp.Compile(o.runPat)
-		if err != nil {
-			return fmt.Errorf("bad -run pattern: %w", err)
-		}
-		selected := 0
-		for _, s := range specs {
-			for _, c := range s.Cells {
-				if re.MatchString(c.Key) {
-					selected++
-				}
-			}
-		}
-		if selected == 0 {
-			var algs []string
-			for _, a := range cm5.Algorithms() {
-				algs = append(algs, a.Name())
-			}
-			return fmt.Errorf("-run %q matches no cell of the selected experiments; "+
-				"keys look like fig5/PEX/N32/256B and name the registry's algorithms (known: %s)",
-				o.runPat, strings.Join(algs, " "))
-		}
-		runner.Filter = re
+	if o.workers {
+		runner.Lease = &exp.LeaseConfig{Owner: o.workerID, TTL: o.leaseTTL}
 	}
 	if o.verbose {
 		runner.OnProgress = func(p exp.Progress) {
@@ -341,17 +304,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options
 	}
 
 	start := time.Now()
-	if printSchedules && format == exp.FormatText {
-		fmt.Fprintln(stdout, exp.ScheduleTables())
-	}
-	if err := runner.Run(ctx, specs...); err != nil {
-		return err
-	}
-	tables := make([]*exp.Table, len(specs))
-	for i, s := range specs {
-		tables[i] = s.Table
-	}
-	if err := exp.WriteTables(stdout, format, tables); err != nil {
+	if err := plan.Run(ctx, runner, stdout); err != nil {
 		return err
 	}
 	if st != nil && (o.resume || o.verbose) {
@@ -362,7 +315,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string, o options
 		fmt.Fprintf(stderr, "cmexp: %d replayed, %d simulated, %d tables, %d workers, %.2fs wall\n",
 			reg.Counter("exp_cells_replayed_total").Value(),
 			reg.Counter("exp_cells_simulated_total").Value(),
-			len(specs), runner.Workers, time.Since(start).Seconds())
+			len(plan.Specs), runner.Workers, time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -14,7 +14,10 @@
 // Endpoints (see docs/API.md for the full reference):
 //
 //	POST /v1/jobs          run one job spec, return its Result JSON
-//	POST /v1/sweep         run experiment families, stream cells as NDJSON
+//	POST /v1/sweep         run an exp.Sweep (the description cmexp builds
+//	                       from its arguments), stream cells as NDJSON;
+//	                       the final output equals cmexp's stdout,
+//	                       schedules listing included
 //	GET  /v1/registry      every listable registry in one uniform shape
 //	GET  /v1/registry/{kind}  one registry (algorithms, topologies,
 //	                       workloads, faultprofiles, traces)

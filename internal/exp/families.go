@@ -9,11 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The experiment families — which names exist, how the grouping
-// aliases expand, and which TableSpecs a name builds — used to live in
-// cmd/cmexp's switch. They are shared here so every front end (cmexp,
-// the cmserve sweep endpoint) resolves the same catalogue and rejects
-// unknown names with the same error text.
+// The experiment catalogue: which names exist, how the grouping aliases
+// expand, and which TableSpecs a name builds. Sweep.Plan resolves every
+// front end's names through it.
 
 // Table5DefaultMaxSize is the largest FFT array edge of the canonical
 // table5 sweep (cmexp -maxsize overrides it).
@@ -27,13 +25,11 @@ var Table5DefaultSizes = []int{32, 256}
 // print order. The static "schedules" listing and the "all"/"ablations"
 // aliases are not families; ExpandFamilies handles them.
 func FamilyNames() []string {
-	return []string{
+	return append([]string{
 		"fig5", "fig6", "fig7", "fig8", "table5", "fig10", "fig11",
 		"table11", "table12", "scenarios", "collectives", "topology", "faults",
 		"apps",
-		"ablation-async", "ablation-fattree", "ablation-greedy",
-		"ablation-crossover", "ablation-crystal",
-	}
+	}, AblationFamilyNames()...)
 }
 
 // AblationFamilyNames returns the families the "ablations" alias
@@ -85,21 +81,16 @@ func ExpandFamilies(args []string) ([]string, error) {
 	return names, nil
 }
 
-// FamilySpecs builds the TableSpecs of one experiment family in its
-// canonical shape (table5 at both default processor counts). The
-// static "schedules" listing builds no spec and is rejected here; so
-// is any unknown name, with the same error text ExpandFamilies uses.
-func FamilySpecs(name string, cfg network.Config) ([]*TableSpec, error) {
-	return FamilySpecsStore(name, cfg, nil)
-}
-
-// FamilySpecsStore is FamilySpecs with a result store backend threaded
-// through to the families that persist more than cell records — the
-// apps family's trace library records into it, so recorded application
-// traces survive across processes (and, with an HTTP backend, are
-// shared by every worker of a distributed sweep). A nil backend
-// degrades gracefully (traces are memoized for the sweep and
-// re-recorded next process).
+// FamilySpecsStore builds the TableSpecs of one experiment family in
+// its canonical shape (table5 at both default processor counts). The
+// static "schedules" listing builds no spec and is rejected here; so is
+// any unknown name, with the same error text ExpandFamilies uses. The
+// result store backend is threaded through to the families that
+// persist more than cell records — the apps family's trace library
+// records into it, so recorded application traces survive across
+// processes (and, with an HTTP backend, are shared by every worker of
+// a distributed sweep). A nil backend degrades gracefully (traces are
+// memoized for the sweep and re-recorded next process).
 func FamilySpecsStore(name string, cfg network.Config, st store.Backend) ([]*TableSpec, error) {
 	switch name {
 	case "fig5":

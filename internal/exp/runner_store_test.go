@@ -363,7 +363,7 @@ func assertCellSpecKeys(t *testing.T, family, key string, extra ...string) {
 	t.Helper()
 	cfg := network.DefaultConfig()
 	r := &Runner{Seed: 7, StoreBase: StoreBase(cfg)}
-	specs, err := FamilySpecs(family, cfg)
+	specs, err := FamilySpecsStore(family, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

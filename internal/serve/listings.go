@@ -137,13 +137,12 @@ var registries = []registryDef{
 			doc := map[string]any{"trace_version": trace.TraceVersion}
 			if s.store != nil {
 				// The recordings this store already holds, addressable
-				// without re-running anything.
+				// without re-running anything. The index lists them
+				// without reading a single payload.
 				recorded := []json.RawMessage{}
-				if recs, err := s.store.All(); err == nil {
-					for _, rec := range recs {
-						if rec.Family == "trace" {
-							recorded = append(recorded, marshalOrdered([]kv{{"cell", rec.Cell}, {"hash", rec.Hash}}))
-						}
+				for _, e := range s.store.Index() {
+					if e.Family == "trace" {
+						recorded = append(recorded, marshalOrdered([]kv{{"cell", e.Cell}, {"hash", e.Hash}}))
 					}
 				}
 				doc["recorded"] = recorded

@@ -5,9 +5,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/store"
 )
 
 // TestLegacyListingBytesPinned pins the five historical listing
@@ -53,6 +55,73 @@ func TestTracesListingWithStore(t *testing.T) {
 	}
 	if string(doc["recorded"]) != "[]" {
 		t.Fatalf("recorded = %s, want []", doc["recorded"])
+	}
+}
+
+// getCounter is a store backend that counts record reads. Its All
+// reads through Get, one call per indexed record, the way
+// store.HTTPBackend does, so a listing built on All shows up.
+type getCounter struct {
+	store.Backend
+	gets atomic.Int64
+}
+
+func (c *getCounter) Get(hash string) (*store.Record, bool, error) {
+	c.gets.Add(1)
+	return c.Backend.Get(hash)
+}
+
+func (c *getCounter) All() ([]*store.Record, error) {
+	var recs []*store.Record
+	for _, e := range c.Index() {
+		rec, ok, err := c.Get(e.Hash)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			recs = append(recs, rec)
+		}
+	}
+	return recs, nil
+}
+
+// TestTracesListingReadsNoPayloads: the recordings a store holds are
+// listed from its index alone — every trace record appears, in (cell,
+// hash) order, other families do not, and no record is read.
+func TestTracesListingReadsNoPayloads(t *testing.T) {
+	st := testStore(t)
+	for _, r := range []struct{ family, cell string }{
+		{"trace", "trace/fft/P16"}, {"fig5", "fig5/PEX/N32/0B"}, {"trace", "trace/cg/P8"},
+	} {
+		rec, err := store.NewRecord(r.family, r.cell, store.Spec{"cell": r.cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted := &getCounter{Backend: st}
+	w := get(New(network.DefaultConfig(), counted).Handler(), "/v1/traces")
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d", w.Code)
+	}
+	var doc struct {
+		Recorded []struct{ Cell, Hash string } `json:"recorded"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Recorded) != 2 || doc.Recorded[0].Cell != "trace/cg/P8" || doc.Recorded[1].Cell != "trace/fft/P16" {
+		t.Fatalf("recorded = %+v, want trace/cg/P8 then trace/fft/P16", doc.Recorded)
+	}
+	for _, r := range doc.Recorded {
+		if !store.ValidHash(r.Hash) {
+			t.Fatalf("recorded %s has hash %q", r.Cell, r.Hash)
+		}
+	}
+	if n := counted.gets.Load(); n != 0 {
+		t.Fatalf("listing read %d records, want 0 (the index names them)", n)
 	}
 }
 

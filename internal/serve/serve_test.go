@@ -460,7 +460,7 @@ func TestSweepStreamsAndMatchesHarness(t *testing.T) {
 	h := s.Handler()
 
 	// The reference rendering, straight through the harness.
-	specs, err := exp.FamilySpecs("scenarios", cfg)
+	specs, err := exp.FamilySpecsStore("scenarios", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,22 +527,25 @@ func TestSweepValidation(t *testing.T) {
 	h := s.Handler()
 	cases := []struct {
 		name, body, want string
+		code             int
 	}{
-		{"empty", `{}`, "no experiments"},
-		{"unknown family", `{"experiments":["fig99"]}`, "unknown experiment"},
-		{"unknown family lists names", `{"experiments":["fig99"]}`, "scenarios"},
-		{"static schedules", `{"experiments":["schedules"]}`, "static listing"},
-		{"bad regexp", `{"experiments":["fig5"],"run":"("}`, "bad run pattern"},
-		{"bad format", `{"experiments":["fig5"],"format":"xml"}`, "unknown format"},
-		{"matches nothing", `{"experiments":["fig5"],"run":"zzz"}`, "matches no cell"},
-		{"unknown field", `{"experiment":["fig5"]}`, "unknown field"},
-		{"trailing data", `{"experiments":["fig5"]}{"experiments":["fig6"]}`, "trailing data"},
+		{"empty", `{}`, "no experiments", http.StatusBadRequest},
+		{"unknown family", `{"experiments":["fig99"]}`, "unknown experiment", http.StatusBadRequest},
+		{"unknown family lists names", `{"experiments":["fig99"]}`, "scenarios", http.StatusBadRequest},
+		// The static listing is a sweep of no cells: its output is the
+		// listing cmexp prints.
+		{"static schedules", `{"experiments":["schedules"]}`, "LEX schedule", http.StatusOK},
+		{"bad regexp", `{"experiments":["fig5"],"run":"("}`, "bad run pattern", http.StatusBadRequest},
+		{"bad format", `{"experiments":["fig5"],"format":"xml"}`, "unknown format", http.StatusBadRequest},
+		{"matches nothing", `{"experiments":["fig5"],"run":"zzz"}`, "matches no cell", http.StatusBadRequest},
+		{"unknown field", `{"experiment":["fig5"]}`, "unknown field", http.StatusBadRequest},
+		{"trailing data", `{"experiments":["fig5"]}{"experiments":["fig6"]}`, "trailing data", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := post(h, "/v1/sweep", tc.body)
-			if w.Code != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400 (body %s)", w.Code, w.Body)
+			if w.Code != tc.code {
+				t.Fatalf("status %d, want %d (body %s)", w.Code, tc.code, w.Body)
 			}
 			if !strings.Contains(w.Body.String(), tc.want) {
 				t.Fatalf("body %s does not mention %q", w.Body, tc.want)

@@ -6,12 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"regexp"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -422,16 +419,6 @@ func (s *Server) storePut(js JobSpec, hash string, payload []byte) {
 	s.store.Put(rec)
 }
 
-// sweepRequest is the wire form of POST /v1/sweep: experiment families
-// by name (the cmexp catalogue, aliases included), an optional cell
-// regexp and seed, and the output format of the final rendering.
-type sweepRequest struct {
-	Experiments []string `json:"experiments"`
-	Run         string   `json:"run,omitempty"`
-	Seed        int64    `json:"seed,omitempty"`
-	Format      string   `json:"format,omitempty"`
-}
-
 // sweepEvent is one NDJSON line of the sweep stream. Cell events carry
 // Cell/Done/Total/Cached as each cell completes; the final event
 // carries Done=total plus the rendered output and the replay split; an
@@ -446,78 +433,22 @@ type sweepEvent struct {
 	Replayed  int    `json:"replayed,omitempty"`
 	Simulated int    `json:"simulated,omitempty"`
 	Format    string `json:"format,omitempty"`
-	// Output is the families' rendered tables, byte-identical to
-	// cmexp's stdout for the same experiments and format.
+	// Output is the sweep's rendering (exp.SweepPlan.Run), byte-identical
+	// to cmexp's stdout for the same exp.Sweep.
 	Output string `json:"output,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.stats.served.Add(1)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req sweepRequest
-	if err := dec.Decode(&req); err != nil {
+	sw, err := exp.DecodeSweep(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
 		return
 	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, "bad sweep request: trailing data after the request")
-		return
-	}
-	if len(req.Experiments) == 0 {
-		httpError(w, http.StatusBadRequest, "no experiments requested (known: %s)",
-			strings.Join(exp.FamilyNames(), " "))
-		return
-	}
-	format, err := exp.ParseFormat(req.Format)
+	plan, err := sw.Plan(s.cfg, s.store, nil)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	names, err := exp.ExpandFamilies(req.Experiments)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	explicit := map[string]bool{}
-	for _, name := range req.Experiments {
-		explicit[name] = true
-	}
-	var specs []*exp.TableSpec
-	for _, name := range names {
-		if name == "schedules" && !explicit[name] {
-			// The static listing has no cells; when it arrives via the
-			// "all" alias, skipping it beats failing the sweep. Asking
-			// for it by name still gets FamilySpecs' explanation below.
-			continue
-		}
-		ss, err := exp.FamilySpecsStore(name, s.cfg, s.store)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		specs = append(specs, ss...)
-	}
-	var filter *regexp.Regexp
-	if req.Run != "" {
-		if filter, err = regexp.Compile(req.Run); err != nil {
-			httpError(w, http.StatusBadRequest, "bad run pattern: %v", err)
-			return
-		}
-	}
-	selected := 0
-	for _, sp := range specs {
-		for _, c := range sp.Cells {
-			if filter == nil || filter.MatchString(c.Key) {
-				selected++
-			}
-		}
-	}
-	if selected == 0 {
-		httpError(w, http.StatusBadRequest,
-			"run %q matches no cell of the selected experiments (keys look like scenarios/transpose/GS/N64)",
-			req.Run)
 		return
 	}
 
@@ -547,37 +478,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	runner := exp.NewRunner(s.workers)
-	runner.Seed = req.Seed
-	runner.Filter = filter
 	runner.Metrics = s.reg
-	if s.store != nil {
-		runner.Store = s.store
-		runner.StoreBase = exp.StoreBase(s.cfg)
-	}
 	// OnProgress calls are serialized by the runner, so emit needs no
 	// extra lock; each cell streams out the moment it completes.
 	runner.OnProgress = func(p exp.Progress) {
 		emit(sweepEvent{Cell: p.Key, Done: p.Done, Total: p.Total, Cached: p.Cached})
 	}
-	if err := runner.Run(r.Context(), specs...); err != nil {
-		s.stats.failed.Add(1)
-		emit(sweepEvent{Error: err.Error()})
-		return
-	}
-	tables := make([]*exp.Table, len(specs))
-	for i, sp := range specs {
-		tables[i] = sp.Table
-	}
 	var out bytes.Buffer
-	if err := exp.WriteTables(&out, format, tables); err != nil {
+	if err := plan.Run(r.Context(), runner, &out); err != nil {
 		s.stats.failed.Add(1)
 		emit(sweepEvent{Error: err.Error()})
 		return
 	}
 	emit(sweepEvent{
-		Finished: true, Cells: selected,
+		Finished: true, Cells: plan.Selected,
 		Replayed: runner.CacheHits(), Simulated: runner.CacheMisses(),
-		Format: string(format), Output: out.String(),
+		Format: string(plan.Format), Output: out.String(),
 	})
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"regexp"
 	"time"
@@ -25,6 +27,21 @@ import (
 //	POST /v1/store/invalidate      <- {pattern}     -> {removed}
 //	POST /v1/store/flush           -> {flushed}
 
+// decodeStrict reads exactly one JSON document from r into v: unknown
+// fields and anything but whitespace after the document are errors, so
+// a second request body is rejected rather than silently dropped.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("trailing data after the request")
+	}
+	return nil
+}
+
 // requireStore guards every store route; a daemon started without
 // -store has nothing to serve and says so.
 func (s *Server) requireStore(w http.ResponseWriter) bool {
@@ -43,10 +60,7 @@ func (s *Server) handleStoreIndex(w http.ResponseWriter, r *http.Request) {
 	if entries == nil {
 		entries = []store.IndexEntry{}
 	}
-	writeJSON(w, struct {
-		Len     int                `json:"len"`
-		Entries []store.IndexEntry `json:"entries"`
-	}{Len: len(entries), Entries: entries})
+	writeJSON(w, store.IndexDoc{Len: len(entries), Entries: entries})
 }
 
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
@@ -86,10 +100,8 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	}
 	// Payload records (a whole sweep table or trace recording) are the
 	// large case; 16 MiB is far above any real record.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
 	var rec store.Record
-	if err := dec.Decode(&rec); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 16<<20), &rec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad record: %v", err)
 		return
 	}
@@ -114,23 +126,12 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// storeClaimRequest is the wire form of POST /v1/store/claims — the
-// request store.HTTPBackend.Claim/Release send.
-type storeClaimRequest struct {
-	Op    string `json:"op"` // "claim" or "release"
-	Hash  string `json:"hash"`
-	Owner string `json:"owner"`
-	TTLMS int64  `json:"ttl_ms,omitempty"`
-}
-
 func (s *Server) handleStoreClaims(w http.ResponseWriter, r *http.Request) {
 	if !s.requireStore(w) {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req storeClaimRequest
-	if err := dec.Decode(&req); err != nil {
+	var req store.ClaimRequest
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad claim request: %v", err)
 		return
 	}
@@ -166,19 +167,12 @@ func (s *Server) handleStoreClaims(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// storeInvalidateRequest is the wire form of POST /v1/store/invalidate.
-type storeInvalidateRequest struct {
-	Pattern string `json:"pattern"`
-}
-
 func (s *Server) handleStoreInvalidate(w http.ResponseWriter, r *http.Request) {
 	if !s.requireStore(w) {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req storeInvalidateRequest
-	if err := dec.Decode(&req); err != nil {
+	var req store.InvalidateRequest
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad invalidate request: %v", err)
 		return
 	}

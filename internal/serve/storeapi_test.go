@@ -235,6 +235,45 @@ func TestStoreAPIRejections(t *testing.T) {
 	}
 }
 
+// TestStoreAPIRejectsTrailingData: a second JSON document after a
+// store request body is a 400, and the request it trails is not
+// carried out — nothing is stored, leased or removed.
+func TestStoreAPIRejectsTrailingData(t *testing.T) {
+	st := testStore(t)
+	kept := payloadRecord(t, "fig5", "fig5/LEX/N32/0B", `{}`)
+	if err := st.Put(kept); err != nil {
+		t.Fatal(err)
+	}
+	h := New(network.DefaultConfig(), st).Handler()
+
+	fresh := payloadRecord(t, "fig5", "fig5/PEX/N32/0B", `{}`)
+	recBody, _ := json.Marshal(fresh)
+	claim := `{"op":"claim","hash":"` + kept.Hash + `","owner":"w1","ttl_ms":60000}`
+	for _, req := range []struct{ name, method, path, body string }{
+		{"put", http.MethodPut, "/v1/store/objects/" + fresh.Hash, string(recBody) + `{}`},
+		{"claims", http.MethodPost, "/v1/store/claims", claim + `{"op":"release"}`},
+		{"invalidate", http.MethodPost, "/v1/store/invalidate", `{"pattern":"x"}{"pattern":".*"}`},
+	} {
+		r := httptest.NewRequest(req.method, req.path, strings.NewReader(req.body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "trailing data") {
+			t.Errorf("%s with trailing data: status %d body %s, want 400 naming the trailing data",
+				req.name, w.Code, w.Body)
+		}
+	}
+
+	if _, ok, _ := st.Get(fresh.Hash); ok {
+		t.Error("a PUT with trailing data stored its record")
+	}
+	if cl, err := st.Claim(kept.Hash, "w2", time.Minute); err != nil || !cl.Acquired {
+		t.Errorf("a claim with trailing data leased the hash: %+v %v", cl, err)
+	}
+	if _, ok, _ := st.Get(kept.Hash); !ok {
+		t.Error("an invalidate with trailing data removed a record")
+	}
+}
+
 // TestHTTPBackendRetriesTransientErrors drops every other connection
 // at the server before a byte of response is written and verifies the
 // client retries through it: a brief daemon hiccup must degrade into

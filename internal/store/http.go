@@ -197,13 +197,14 @@ func (b *HTTPBackend) Put(rec *Record) error {
 	return nil
 }
 
-// indexDoc is the wire form of GET /v1/store/index.
-type indexDoc struct {
+// IndexDoc is the wire form of GET /v1/store/index; the cmserve
+// handler encodes it and HTTPBackend decodes it.
+type IndexDoc struct {
 	Len     int          `json:"len"`
 	Entries []IndexEntry `json:"entries"`
 }
 
-func (b *HTTPBackend) index() (*indexDoc, error) {
+func (b *HTTPBackend) index() (*IndexDoc, error) {
 	resp, err := b.getRetry(b.base + "/v1/store/index")
 	if err != nil {
 		return nil, fmt.Errorf("store: index: %w", err)
@@ -212,7 +213,7 @@ func (b *HTTPBackend) index() (*indexDoc, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError("index", resp)
 	}
-	var doc indexDoc
+	var doc IndexDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("store: index: decode: %w", err)
 	}
@@ -301,8 +302,9 @@ func (b *HTTPBackend) postJSON(path, op string, in, out any) error {
 	return nil
 }
 
-// claimRequest is the wire form of POST /v1/store/claims.
-type claimRequest struct {
+// ClaimRequest is the wire form of POST /v1/store/claims — the
+// request Claim and Release send and the cmserve handler decodes.
+type ClaimRequest struct {
 	Op    string `json:"op"` // "claim" or "release"
 	Hash  string `json:"hash"`
 	Owner string `json:"owner"`
@@ -315,18 +317,18 @@ type claimRequest struct {
 func (b *HTTPBackend) Claim(hash, owner string, ttl time.Duration) (Claim, error) {
 	var cl Claim
 	err := b.postJSON("/v1/store/claims", fmt.Sprintf("claim %.12s", hash),
-		claimRequest{Op: "claim", Hash: hash, Owner: owner, TTLMS: ttl.Milliseconds()}, &cl)
+		ClaimRequest{Op: "claim", Hash: hash, Owner: owner, TTLMS: ttl.Milliseconds()}, &cl)
 	return cl, err
 }
 
 // Release implements Backend.Release over POST /v1/store/claims.
 func (b *HTTPBackend) Release(hash, owner string) error {
 	return b.postJSON("/v1/store/claims", fmt.Sprintf("release %.12s", hash),
-		claimRequest{Op: "release", Hash: hash, Owner: owner}, nil)
+		ClaimRequest{Op: "release", Hash: hash, Owner: owner}, nil)
 }
 
-// invalidateRequest is the wire form of POST /v1/store/invalidate.
-type invalidateRequest struct {
+// InvalidateRequest is the wire form of POST /v1/store/invalidate.
+type InvalidateRequest struct {
 	Pattern string `json:"pattern"`
 }
 
@@ -336,7 +338,7 @@ func (b *HTTPBackend) Invalidate(re *regexp.Regexp) (int, error) {
 	var doc struct {
 		Removed int `json:"removed"`
 	}
-	if err := b.postJSON("/v1/store/invalidate", "invalidate", invalidateRequest{Pattern: re.String()}, &doc); err != nil {
+	if err := b.postJSON("/v1/store/invalidate", "invalidate", InvalidateRequest{Pattern: re.String()}, &doc); err != nil {
 		return 0, err
 	}
 	return doc.Removed, nil
