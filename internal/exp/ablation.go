@@ -34,19 +34,7 @@ func AblationAsyncSpec(cfg network.Config) *TableSpec {
 				mode = "async"
 			}
 			spec.AddCell(fmt.Sprintf("ablation-async/%s-%s/%dB", v.alg, mode, size),
-				func(ctx context.Context, _ int64, rec *Rec) error {
-					a, err := cm5.LookupAlgorithm(v.alg)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.NewJob(a, 32, size,
-						cm5.WithConfig(cfg), cm5.WithAsync(v.async)))
-					if err != nil {
-						return err
-					}
-					rec.Set(r, c, "%.3f", res.Elapsed.Millis())
-					return nil
-				})
+				specCell(cfg, cm5.Spec{Algorithm: v.alg, N: 32, Bytes: size, Async: v.async}, r, c))
 		}
 	}
 	t.Note = "Buffered sends recover much of LEX's loss (its funnel still serializes at the\n" +
@@ -93,11 +81,7 @@ func AblationFatTreeSpec(cfg network.Config) *TableSpec {
 		for _, v := range variants {
 			spec.AddCell(fmt.Sprintf("ablation-fattree/%s-%s/%dB", v.alg, v.tree, size),
 				func(ctx context.Context, _ int64, rec *Rec) error {
-					a, err := cm5.LookupAlgorithm(v.alg)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.NewJob(a, 32, size, cm5.WithConfig(v.cfg)))
+					res, err := runSpec(ctx, v.cfg, cm5.Spec{Algorithm: v.alg, N: 32, Bytes: size}, nil)
 					if err != nil {
 						return err
 					}
@@ -138,8 +122,9 @@ func AblationGreedySpec(cfg network.Config) *TableSpec {
 	for r, density := range densities {
 		spec.AddCell(fmt.Sprintf("ablation-greedy/det/%d%%", density),
 			func(ctx context.Context, _ int64, rec *Rec) error {
-				p := pattern.Synthetic(32, float64(density)/100, 256, int64(density))
-				res, err := runJob(ctx, cm5.PatternJob(cm5.MustAlgorithm("GS"), p, cm5.WithConfig(cfg)))
+				res, err := runSpec(ctx, cfg, cm5.Spec{Algorithm: "GS", N: 32, Bytes: 256,
+					Workload: cm5.SyntheticWorkload, Density: float64(density) / 100,
+					Seed: int64(density)}, nil)
 				if err != nil {
 					return err
 				}
@@ -147,6 +132,8 @@ func AblationGreedySpec(cfg network.Config) *TableSpec {
 				rec.Set(r, 1, "%.3f", res.Elapsed.Millis())
 				return nil
 			})
+		// Hand-built, not a cm5.Spec: the trials share one pattern
+		// seed but vary the GSR seed, and a Spec has one seed for both.
 		randKey := fmt.Sprintf("ablation-greedy/rand/%d%%", density)
 		spec.AddCell(randKey,
 			func(ctx context.Context, cellSeed int64, rec *Rec) error {
@@ -204,16 +191,9 @@ func AblationCrystalSpec(cfg network.Config) *TableSpec {
 		for a, alg := range algs {
 			spec.AddCell(cellKey(alg, c),
 				func(ctx context.Context, _ int64, rec *Rec) error {
-					p := pattern.Synthetic(32, float64(c.density)/100, c.size, int64(c.density+c.size))
-					name := alg
-					if alg == "Crystal" {
-						name = "CRYSTAL"
-					}
-					algo, err := cm5.LookupAlgorithm(name)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.PatternJob(algo, p, cm5.WithConfig(cfg)))
+					res, err := runSpec(ctx, cfg, cm5.Spec{Algorithm: alg, N: 32, Bytes: c.size,
+						Workload: cm5.SyntheticWorkload, Density: float64(c.density) / 100,
+						Seed: int64(c.density + c.size)}, nil)
 					if err != nil {
 						return err
 					}
@@ -261,12 +241,9 @@ func AblationCrossoverSpec(cfg network.Config) *TableSpec {
 		for a, alg := range algs {
 			spec.AddCell(cellKey(alg, density),
 				func(ctx context.Context, _ int64, rec *Rec) error {
-					p := pattern.Synthetic(32, float64(density)/100, 256, int64(7000+density))
-					algo, err := cm5.LookupAlgorithm(alg)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.PatternJob(algo, p, cm5.WithConfig(cfg)))
+					res, err := runSpec(ctx, cfg, cm5.Spec{Algorithm: alg, N: 32, Bytes: 256,
+						Workload: cm5.SyntheticWorkload, Density: float64(density) / 100,
+						Seed: int64(7000 + density)}, nil)
 					if err != nil {
 						return err
 					}

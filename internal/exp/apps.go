@@ -7,7 +7,6 @@ import (
 	"repro/cm5"
 	"repro/internal/network"
 	"repro/internal/store"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -81,29 +80,13 @@ func appsSpec(cfg network.Config, lib *trace.Library, n int) (*TableSpec, error)
 		c := 0
 		for _, tn := range AppsTopologies {
 			for _, alg := range AppsSchedulers {
-				r, col, app, tn, alg, thash := r, c, app, tn, alg, thash
 				key := fmt.Sprintf("apps/%s/%s/%s/P%d", app, tn, alg, n)
 				extra := store.Spec{"trace": thash, "trace_version": trace.TraceVersion}
+				js := cm5.Spec{Algorithm: alg, N: n, Trace: app, Topology: tn, Seed: AppsSeed}
+				col := c
 				spec.AddCellSpec(key, extra,
 					func(ctx context.Context, _ int64, rec *Rec) error {
-						tr, _, err := lib.Get(app, 0, n, AppsSeed, cfg)
-						if err != nil {
-							return err
-						}
-						p, err := tr.Pattern()
-						if err != nil {
-							return err
-						}
-						tp, err := topo.New(tn, n, cfg.TopologyRates())
-						if err != nil {
-							return err
-						}
-						a, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.PatternJob(a, p,
-							cm5.WithConfig(cfg), cm5.WithTopology(tp)))
+						res, err := runSpec(ctx, cfg, js, lib.Get)
 						if err != nil {
 							return err
 						}
@@ -145,12 +128,12 @@ func appsStatsSpec(cfg network.Config, lib *trace.Library) (*TableSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, app, n, thash := r, app, n, thash
+			row := r
 			key := fmt.Sprintf("apps-stats/%s/P%d", app, n)
 			extra := store.Spec{"trace": thash, "trace_version": trace.TraceVersion}
 			spec.AddCellSpec(key, extra,
 				func(ctx context.Context, _ int64, rec *Rec) error {
-					tr, _, err := lib.Get(app, 0, n, AppsSeed, cfg)
+					tr, err := lib.Get(app, 0, n, AppsSeed, cfg)
 					if err != nil {
 						return err
 					}

@@ -6,7 +6,6 @@ import (
 
 	"repro/cm5"
 	"repro/internal/network"
-	"repro/internal/pattern"
 	"repro/internal/store"
 	"repro/internal/topo"
 )
@@ -40,28 +39,16 @@ const FaultTopology = "hypercube"
 // schedulers plus the adaptive scheduler.
 var FaultSchedulers = []string{"LS", "PS", "BS", "GS", "AS"}
 
-// faultSeed fixes each machine size's fault plan so the tables are
-// canonical; it matches scenarioSeed, so the healthy row replays the
-// other families' patterns exactly.
-func faultSeed(n int) int64 { return int64(n) }
-
 // FaultsSpec builds the fault-injection sweep: the butterfly workload
 // over the hypercube under every named fault profile, scheduled with
 // each of LS/PS/BS/GS/AS at every fault machine size. One cell per
-// (profile, size, algorithm); each cell's seed-deterministic fault
-// plan is built eagerly against the run's topology and filed into the
-// cell's content-hash spec, so plans address store records the same
-// way machine sizes do.
+// (profile, size, algorithm). A cell's spec seeds its pattern and its
+// fault plan with scenarioSeed, so the healthy row replays the other
+// families' patterns exactly. The seed-deterministic plan is also
+// built eagerly against the run's topology and filed into the cell's
+// content-hash spec, so plans address store records the same way
+// machine sizes do.
 func FaultsSpec(cfg network.Config) (*TableSpec, error) {
-	var workload pattern.Workload
-	for _, w := range pattern.Workloads() {
-		if w.Name == FaultWorkload {
-			workload = w
-		}
-	}
-	if workload.Gen == nil {
-		return nil, fmt.Errorf("faults: workload %q not in the pattern catalogue", FaultWorkload)
-	}
 	profiles := cm5.FaultProfiles()
 	var cols []string
 	for _, n := range FaultSizes {
@@ -79,27 +66,19 @@ func FaultsSpec(cfg network.Config) (*TableSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := cm5.NewFaultPlan(profile, tp, faultSeed(n))
+			plan, err := cm5.NewFaultPlan(profile, tp, scenarioSeed(n))
 			if err != nil {
 				return nil, err
 			}
 			for _, alg := range FaultSchedulers {
-				r, col, n, alg, plan := r, c, n, alg, plan
 				key := fmt.Sprintf("faults/%s/%s/%s/%s/N%d", FaultWorkload, FaultTopology, profile, alg, n)
 				extra := store.Spec{"faults": plan, "fault_plan_version": network.FaultPlanVersion}
+				js := cm5.Spec{Algorithm: alg, N: n, Bytes: FaultBytes, Workload: FaultWorkload,
+					Topology: FaultTopology, FaultProfile: profile, Seed: scenarioSeed(n)}
+				col := c
 				spec.AddCellSpec(key, extra,
 					func(ctx context.Context, _ int64, rec *Rec) error {
-						tp, err := topo.New(FaultTopology, n, cfg.TopologyRates())
-						if err != nil {
-							return err
-						}
-						p := workload.Gen(n, FaultBytes, scenarioSeed(n))
-						a, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.PatternJob(a, p,
-							cm5.WithConfig(cfg), cm5.WithTopology(tp), cm5.WithFaults(plan)))
+						res, err := runSpec(ctx, cfg, js, nil)
 						if err != nil {
 							return err
 						}

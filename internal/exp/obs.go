@@ -26,6 +26,36 @@ func runJob(ctx context.Context, job cm5.Job) (cm5.Result, error) {
 	return cm5.Run(job)
 }
 
+// runSpec runs one cell's job as plain data: it validates s, lowers it
+// with cm5.Spec.Job under cfg (the lowering POST /v1/jobs and cmtrace
+// -spec use, so a cell and the same served job build the same run) and
+// runs it through runJob. traces resolves a trace-driven spec's
+// recording; nil means a fresh cm5.RecordTrace.
+func runSpec(ctx context.Context, cfg cm5.Config, s cm5.Spec,
+	traces func(app string, size, n int, seed int64, cfg cm5.Config) (*cm5.AppTrace, error)) (cm5.Result, error) {
+	if err := s.Validate(); err != nil {
+		return cm5.Result{}, err
+	}
+	job, err := s.Job(cfg, traces)
+	if err != nil {
+		return cm5.Result{}, err
+	}
+	return runJob(ctx, job)
+}
+
+// specCell is the cell function of the common shape: run s under cfg
+// and record its makespan in milliseconds at (row, col).
+func specCell(cfg cm5.Config, s cm5.Spec, row, col int) func(context.Context, int64, *Rec) error {
+	return func(ctx context.Context, _ int64, rec *Rec) error {
+		res, err := runSpec(ctx, cfg, s, nil)
+		if err != nil {
+			return err
+		}
+		rec.Set(row, col, "%.3f", res.Elapsed.Millis())
+		return nil
+	}
+}
+
 // timelinePath maps a cell key to its timeline file: slashes flatten to
 // underscores ("fig5/LEX/N32/256B" -> "fig5_LEX_N32_256B.trace.json"),
 // keeping one flat directory of Perfetto-loadable files.

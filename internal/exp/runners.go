@@ -37,18 +37,7 @@ func exchangeSweepBySizeSpec(name, title string, n int, sizes []int, cfg network
 	for r, size := range sizes {
 		for c, alg := range ExchangeAlgs {
 			spec.AddCell(fmt.Sprintf("%s/%s/N%d/%dB", name, alg, n, size),
-				func(ctx context.Context, _ int64, rec *Rec) error {
-					a, err := cm5.LookupAlgorithm(alg)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.NewJob(a, n, size, cm5.WithConfig(cfg)))
-					if err != nil {
-						return err
-					}
-					rec.Set(r, c, "%.3f", res.Elapsed.Millis())
-					return nil
-				})
+				specCell(cfg, cm5.Spec{Algorithm: alg, N: n, Bytes: size}, r, c))
 		}
 	}
 	t.Note = "Expected shape (paper): LEX worst throughout; for large messages BEX < PEX < REX."
@@ -94,20 +83,8 @@ func exchangeSweepByMachineSpec(name, title string, sizes []int, cfg network.Con
 		c := 0
 		for _, size := range sizes {
 			for _, alg := range scalingAlgs {
-				col := c
 				spec.AddCell(fmt.Sprintf("%s/%s/N%d/%dB", name, alg, n, size),
-					func(ctx context.Context, _ int64, rec *Rec) error {
-						a, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.NewJob(a, n, size, cm5.WithConfig(cfg)))
-						if err != nil {
-							return err
-						}
-						rec.Set(r, col, "%.3f", res.Elapsed.Millis())
-						return nil
-					})
+					specCell(cfg, cm5.Spec{Algorithm: alg, N: n, Bytes: size}, r, c))
 				c++
 			}
 		}
@@ -194,18 +171,7 @@ func Fig10Spec(cfg network.Config) *TableSpec {
 	for r, size := range Fig10Sizes {
 		for c, alg := range algs {
 			spec.AddCell(fmt.Sprintf("fig10/%s/N32/%dB", alg, size),
-				func(ctx context.Context, _ int64, rec *Rec) error {
-					a, err := cm5.LookupAlgorithm(alg)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.NewJob(a, 32, size, cm5.WithRoot(0), cm5.WithConfig(cfg)))
-					if err != nil {
-						return err
-					}
-					rec.Set(r, c, "%.3f", res.Elapsed.Millis())
-					return nil
-				})
+				specCell(cfg, cm5.Spec{Algorithm: alg, N: 32, Bytes: size}, r, c))
 		}
 	}
 	t.Note = "Expected shape (paper): LIB >> REB; system broadcast wins below ~1 KB, REB above."
@@ -231,20 +197,8 @@ func Fig11Spec(cfg network.Config) *TableSpec {
 	for r, n := range MachineSizes {
 		for ci, alg := range []string{"REB", "SYS"} {
 			for c, s := range sizes {
-				col := ci*len(sizes) + c
 				spec.AddCell(fmt.Sprintf("fig11/%s/N%d/%dB", alg, n, s),
-					func(ctx context.Context, _ int64, rec *Rec) error {
-						a, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.NewJob(a, n, s, cm5.WithRoot(0), cm5.WithConfig(cfg)))
-						if err != nil {
-							return err
-						}
-						rec.Set(r, col, "%.3f", res.Elapsed.Millis())
-						return nil
-					})
+					specCell(cfg, cm5.Spec{Algorithm: alg, N: n, Bytes: s}, r, ci*len(sizes)+c))
 			}
 		}
 	}
@@ -283,12 +237,11 @@ func Table11Spec(cfg network.Config) *TableSpec {
 				col := c
 				spec.AddCell(fmt.Sprintf("table11/%s/%d%%/%dB", alg, density, size),
 					func(ctx context.Context, _ int64, rec *Rec) error {
-						p := pattern.Synthetic(32, float64(density)/100, size, int64(density*1000+size))
-						algo, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.PatternJob(algo, p, cm5.WithConfig(cfg)))
+						res, err := runSpec(ctx, cfg, cm5.Spec{
+							Algorithm: alg, N: 32, Bytes: size,
+							Workload: cm5.SyntheticWorkload, Density: float64(density) / 100,
+							Seed: int64(density*1000 + size),
+						}, nil)
 						if err != nil {
 							return err
 						}
@@ -374,6 +327,8 @@ func Table12Spec(cfg network.Config) (*TableSpec, *[]RealPatternResult, error) {
 	for c, prob := range PaperTable12 {
 		p := patterns[c]
 		for a, alg := range IrregularAlgs {
+			// Hand-built, not a cm5.Spec: no Spec field names a mesh
+			// halo pattern.
 			spec.AddCell(cellKey(prob, alg),
 				func(ctx context.Context, _ int64, rec *Rec) error {
 					algo, err := cm5.LookupAlgorithm(alg)

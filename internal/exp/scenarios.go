@@ -47,21 +47,9 @@ func ScenariosSpec(cfg network.Config) *TableSpec {
 		c := 0
 		for _, n := range ScenarioSizes {
 			for _, alg := range IrregularAlgs {
-				w, col, n, alg := w, c, n, alg
 				spec.AddCell(fmt.Sprintf("scenarios/%s/%s/N%d", w.Name, alg, n),
-					func(ctx context.Context, _ int64, rec *Rec) error {
-						p := w.Gen(n, ScenarioBytes, scenarioSeed(n))
-						a, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.PatternJob(a, p, cm5.WithConfig(cfg)))
-						if err != nil {
-							return err
-						}
-						rec.Set(r, col, "%.3f", res.Elapsed.Millis())
-						return nil
-					})
+					specCell(cfg, cm5.Spec{Algorithm: alg, N: n, Bytes: ScenarioBytes,
+						Workload: w.Name, Seed: scenarioSeed(n)}, r, c))
 				c++
 			}
 		}
@@ -90,12 +78,19 @@ func ScenarioStatsSpec(cfg network.Config) *TableSpec {
 		rows, cols)
 	spec := &TableSpec{Name: "scenario-stats", Table: t}
 	for r, w := range workloads {
-		r, w := r, w
+		js := cm5.Spec{Algorithm: "GS", N: ScenarioStatsSize, Bytes: ScenarioBytes,
+			Workload: w.Name, Seed: scenarioSeed(ScenarioStatsSize)}
 		spec.AddCell(fmt.Sprintf("scenario-stats/%s", w.Name),
 			func(ctx context.Context, _ int64, rec *Rec) error {
-				p := w.Gen(ScenarioStatsSize, ScenarioBytes, scenarioSeed(ScenarioStatsSize))
-				st := p.Stats()
-				s, err := cm5.Plan(cm5.PatternJob(cm5.MustAlgorithm("GS"), p))
+				if err := js.Validate(); err != nil {
+					return err
+				}
+				job, err := js.Job(cfg, nil)
+				if err != nil {
+					return err
+				}
+				st := job.Pattern().Stats()
+				s, err := cm5.Plan(job)
 				if err != nil {
 					return err
 				}
@@ -150,20 +145,10 @@ func CollectivesSpec(cfg network.Config) *TableSpec {
 				t.Set(r, 2*ci+1, "-")
 				continue
 			}
-			r, name, n, ci := r, name, n, ci
 			spec.AddCell(fmt.Sprintf("collectives/%s/N%d/cmmd", name, n),
-				func(ctx context.Context, _ int64, rec *Rec) error {
-					a, err := cm5.LookupAlgorithm(name)
-					if err != nil {
-						return err
-					}
-					res, err := runJob(ctx, cm5.NewJob(a, n, CollectiveBytes, cm5.WithConfig(cfg)))
-					if err != nil {
-						return err
-					}
-					rec.Set(r, 2*ci, "%.3f", res.Elapsed.Millis())
-					return nil
-				})
+				specCell(cfg, cm5.Spec{Algorithm: name, N: n, Bytes: CollectiveBytes}, r, 2*ci))
+			// Hand-built, not a cm5.Spec: no Spec workload names a
+			// collective's traffic matrix (cmmd.CollectivePattern).
 			spec.AddCell(fmt.Sprintf("collectives/%s/N%d/sched", name, n),
 				func(ctx context.Context, _ int64, rec *Rec) error {
 					p, err := cmmd.CollectivePattern(name, n, CollectiveBytes)

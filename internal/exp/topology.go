@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/cm5"
 	"repro/internal/network"
 	"repro/internal/pattern"
-	"repro/internal/topo"
 )
 
 // The topology family goes beyond the paper's single machine: every
@@ -58,26 +56,9 @@ func TopologySpec(cfg network.Config, n int) *TableSpec {
 		c := 0
 		for _, tn := range TopologyNames {
 			for _, alg := range IrregularAlgs {
-				w, col, tn, alg := w, c, tn, alg
 				spec.AddCell(fmt.Sprintf("topology/%s/%s/%s/N%d", w.Name, tn, alg, n),
-					func(ctx context.Context, _ int64, rec *Rec) error {
-						tp, err := topo.New(tn, n, cfg.TopologyRates())
-						if err != nil {
-							return err
-						}
-						p := w.Gen(n, TopologyBytes, scenarioSeed(n))
-						a, err := cm5.LookupAlgorithm(alg)
-						if err != nil {
-							return err
-						}
-						res, err := runJob(ctx, cm5.PatternJob(a, p,
-							cm5.WithConfig(cfg), cm5.WithTopology(tp)))
-						if err != nil {
-							return err
-						}
-						rec.Set(r, col, "%.3f", res.Elapsed.Millis())
-						return nil
-					})
+					specCell(cfg, cm5.Spec{Algorithm: alg, N: n, Bytes: TopologyBytes,
+						Workload: w.Name, Topology: tn, Seed: scenarioSeed(n)}, r, c))
 				c++
 			}
 		}

@@ -328,7 +328,7 @@ func (s *Server) runJob(ctx context.Context, js JobSpec, hash string) ([]byte, s
 			return nil, err
 		}
 		defer release()
-		job, err := cm5.Spec(js).Job(s.cfg, s.recordedTrace)
+		job, err := cm5.Spec(js).Job(s.cfg, s.traces.Get)
 		if err != nil {
 			return nil, err
 		}
@@ -348,13 +348,6 @@ func (s *Server) runJob(ctx context.Context, js JobSpec, hash string) ([]byte, s
 		return payload, nil
 	})
 	return payload, "miss", err
-}
-
-// recordedTrace resolves a trace-driven job's recording through the
-// server's trace library, so each recording is made at most once.
-func (s *Server) recordedTrace(app string, size, n int, seed int64, cfg network.Config) (*cm5.AppTrace, error) {
-	tr, _, err := s.traces.Get(app, size, n, seed, cfg)
-	return tr, err
 }
 
 // admit acquires one simulation slot, waiting in the bounded queue.

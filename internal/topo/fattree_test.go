@@ -1,10 +1,10 @@
-// Package fattree_test checks the CM-5's 4-ary fat-tree grouping as
+package topo_test
+
+// The checks below pin the CM-5's 4-ary fat-tree grouping as
 // topo.FatTree implements it: level counts, accepted machine sizes,
 // cluster membership, least-common-ancestor (LCA) depth, routes, link
-// names and root crossings. The model itself lives in internal/topo;
-// this directory holds only its grouping checks, each phrased in terms
-// of the grouping definition (node a's level-l cluster is a / 4^l).
-package fattree_test
+// names and root crossings, each phrased in terms of the grouping
+// definition (node a's level-l cluster is a / 4^l; see refCluster).
 
 import (
 	"fmt"
@@ -17,25 +17,13 @@ import (
 	"repro/internal/topo"
 )
 
-var rates = topo.Rates{NodeLink: 20e6, Cluster4Up: 40e6, ThinPerNode: 5e6}
-
 func newTree(t *testing.T, n int) *topo.FatTree {
 	t.Helper()
-	ft, err := topo.NewFatTree(n, rates)
+	ft, err := topo.NewFatTree(n, testRates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ft
-}
-
-// lca is the reference LCA level of distinct nodes a and b: the
-// smallest l >= 1 at which they share a cluster of 4^l nodes.
-func lca(a, b int) int {
-	l := 1
-	for a/(1<<(2*l)) != b/(1<<(2*l)) {
-		l++
-	}
-	return l
 }
 
 // routeNames returns the names of the links on the route a -> b,
@@ -62,7 +50,7 @@ func TestNewRejectsBadSizes(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("[2, %d]", topo.MaxNodes)) {
 			t.Errorf("FatTreeLevels(%d): %v, want an error naming the size range", n, err)
 		}
-		if _, err := topo.NewFatTree(n, rates); err == nil {
+		if _, err := topo.NewFatTree(n, testRates); err == nil {
 			t.Errorf("NewFatTree(%d) should fail", n)
 		}
 	}
@@ -226,7 +214,7 @@ func TestRouteLengthMatchesLCA(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if got, want := len(ft.RouteAppend(nil, a, b)), 2*lca(a, b); got != want {
+			if got, want := len(ft.RouteAppend(nil, a, b)), 2*refLCA(a, b); got != want {
 				t.Fatalf("len(route %d->%d) = %d, want %d", a, b, got, want)
 			}
 		}

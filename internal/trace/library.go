@@ -45,19 +45,20 @@ func NewLibrary(st store.Backend) *Library {
 }
 
 // Get returns the trace for (app, size, nprocs, seed, cfg) — size 0
-// means the app's default — plus its content hash. Every error path
-// still resolves the hash when the app name is known.
-func (l *Library) Get(app string, size, nprocs int, seed int64, cfg network.Config) (*Trace, string, error) {
+// means the app's default. Its signature is cm5.Spec.Job's trace
+// resolver's, so a library plugs straight into the lowering of
+// trace-driven jobs.
+func (l *Library) Get(app string, size, nprocs int, seed int64, cfg network.Config) (*Trace, error) {
 	a, err := Lookup(app)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if size == 0 {
 		size = a.DefaultSize
 	}
 	hash, err := HashFor(a.Name, size, nprocs, seed, cfg)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	l.mu.Lock()
 	e := l.entries[hash]
@@ -69,7 +70,7 @@ func (l *Library) Get(app string, size, nprocs int, seed int64, cfg network.Conf
 	e.once.Do(func() {
 		e.tr, e.err = l.load(a.Name, size, nprocs, seed, cfg, hash)
 	})
-	return e.tr, hash, e.err
+	return e.tr, e.err
 }
 
 // load resolves one trace from the store or a fresh recording.

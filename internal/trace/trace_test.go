@@ -261,7 +261,7 @@ func TestLibraryPersistsRecordings(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := NewLibrary(st)
-	tr, hash, err := lib.Get("cg", 12, 2, 1, cfg)
+	tr, err := lib.Get("cg", 12, 2, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +269,14 @@ func TestLibraryPersistsRecordings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hash != want {
-		t.Errorf("library hash %s, want input-addressed %s", hash, want)
+	if _, ok, err := st.Get(want); err != nil || !ok {
+		t.Errorf("recording not stored under its input-addressed hash %s (ok=%v, err=%v)", want, ok, err)
 	}
-	again, hash2, err := lib.Get("cg", 12, 2, 1, cfg)
+	again, err := lib.Get("cg", 12, 2, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != tr || hash2 != hash {
+	if again != tr {
 		t.Error("second Get should memoize the first recording")
 	}
 
@@ -289,7 +289,7 @@ func TestLibraryPersistsRecordings(t *testing.T) {
 	if st2.Len() != 1 {
 		t.Fatalf("store holds %d records, want 1", st2.Len())
 	}
-	loaded, _, err := NewLibrary(st2).Get("cg", 12, 2, 1, cfg)
+	loaded, err := NewLibrary(st2).Get("cg", 12, 2, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestLibraryPersistsRecordings(t *testing.T) {
 	}
 
 	// A memo-only library still works, it just re-records per process.
-	memo, _, err := NewLibrary(nil).Get("cg", 12, 2, 1, cfg)
+	memo, err := NewLibrary(nil).Get("cg", 12, 2, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
