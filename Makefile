@@ -32,12 +32,15 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 
-# One iteration of every Figure-5 benchmark and of every engine
-# micro-benchmark: catches compile or assertion breakage in the benchmark
+# One iteration of every Figure-5 benchmark, of every engine
+# micro-benchmark, of the GS and AS planners and of the same-instant
+# max-min burst: catches compile or assertion breakage in the benchmark
 # harnesses without paying for stable numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig5 -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'GSPlan|ASPlan' -benchtime 1x ./internal/sched/
+	$(GO) test -run '^$$' -bench Maxmin -benchtime 1x ./internal/network/
 
 # The layered benchmark's own tests. bench/ is a Go module of its own,
 # so `make test` does not reach them: every workload runs at test scale

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/sched"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // SyntheticWorkload is the workload name a Spec accepts beyond the
@@ -102,15 +103,16 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("algorithm %s (%s) cannot replay a trace: traces schedule through the irregular schedulers",
 				a.Name(), a.Kind())
 		}
-		if TraceDoc(s.Trace) == "" {
+		app, err := trace.Lookup(s.Trace)
+		if err != nil {
 			return fmt.Errorf("unknown trace app %q (known: %s)",
 				s.Trace, strings.Join(Traces(), " "))
 		}
 		if s.Workload != "" || s.Density != 0 {
 			return fmt.Errorf("trace and workload are mutually exclusive")
 		}
-		if s.TraceSize < 0 {
-			return fmt.Errorf("trace_size %d must be >= 0", s.TraceSize)
+		if s.TraceSize < 0 || s.TraceSize > app.MaxSize {
+			return fmt.Errorf("trace_size %d must be in [0, %d] for %s", s.TraceSize, app.MaxSize, app.Name)
 		}
 		if s.Bytes != 0 {
 			return fmt.Errorf("bytes is not valid with a trace: message sizes come from the recording")

@@ -43,6 +43,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"algorithm":"BS","n":8,"trace":"cg","workload":"hotspot"}`,
 		`{"algorithm":"BS","n":8,"trace":"cg","bytes":64}`,
 		`{"algorithm":"BS","n":8,"workload":"hotspot","bytes":64,"trace_size":64}`,
+		`{"algorithm":"BS","n":8,"trace":"cg","trace_size":-1}`,
+		`{"algorithm":"BS","n":8,"trace":"fft","trace_size":1000000}`,
+		`{"algorithm":"GS","n":8,"trace":"euler","trace_size":32769}`,
 		`{"algorithm":"BS","n":8,"fault_profile":"meltdown"}`,
 	} {
 		f.Add([]byte(body))

@@ -347,9 +347,6 @@ func (m *Machine) N() int { return len(m.nodes) }
 // Config returns the timing constants in use.
 func (m *Machine) Config() network.Config { return m.cfg }
 
-// DataTopology returns the link graph the data network runs over.
-func (m *Machine) DataTopology() topo.Topology { return m.data }
-
 // Net returns the data network (for statistics).
 func (m *Machine) Net() *network.DataNet { return m.net }
 

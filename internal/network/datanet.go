@@ -36,6 +36,8 @@ type link struct {
 	// maxmin scratch state (valid only within one call).
 	avail   float64
 	unfixed int
+	share   float64 // avail / unfixed, recomputed when stale
+	stale   bool    // avail or unfixed changed since share was computed
 	touched bool
 	seen    bool // reached by the changed-component search
 }
@@ -74,6 +76,7 @@ type DataNet struct {
 
 	lastAdvance sim.Time
 	tick        *sim.Timer // single re-armed earliest-completion event
+	solve       *sim.Timer // the solve Start defers to the end of its instant
 	obs         FlowObserver
 	met         *obs.SimMetrics
 	tl          *obs.Timeline
@@ -134,6 +137,12 @@ func (d *DataNet) linkFor(idx int) *link {
 // Start begins transferring userBytes from src to dst. When the last byte
 // arrives, done runs in engine context. Start returns the new flow.
 // src must differ from dst: node-local copies never enter the network.
+//
+// The flow's rate is not solved here: Start queues one engine event at
+// the current instant, which every Start of the instant shares, and the
+// max-min solve runs there. The rates a solve per Start would set in
+// between act over no simulated time, so deferring them changes nothing
+// but the solver's host cost.
 func (d *DataNet) Start(src, dst, userBytes int, done func()) *Flow {
 	if src == dst {
 		panic(fmt.Sprintf("network: self-flow %d->%d", src, dst))
@@ -159,7 +168,12 @@ func (d *DataNet) Start(src, dst, userBytes int, done func()) *Flow {
 	if d.met != nil {
 		d.met.FlowsStarted.Add(1)
 	}
-	d.reallocate()
+	if d.solve == nil {
+		d.solve = d.eng.NewTimer(d.reallocate)
+	}
+	if !d.solve.Active() {
+		d.solve.Reset(d.eng.Now())
+	}
 	return f
 }
 
@@ -411,8 +425,12 @@ func (d *DataNet) InjectBackground(count, userBytes int, seed int64) {
 func (d *DataNet) FaultStats() FaultStats { return d.fstats }
 
 // reallocate recomputes max-min fair rates, completes any finished flows,
-// and schedules the next completion event.
+// and schedules the next completion event. It takes over a solve Start
+// queued.
 func (d *DataNet) reallocate() {
+	if d.solve != nil {
+		d.solve.Stop()
+	}
 	// Complete flows whose remaining bytes have hit zero, compacting
 	// them out of the active list in one pass.
 	var finished []*Flow
@@ -524,7 +542,12 @@ func (d *DataNet) maxmin() {
 		}
 	}
 
-	linkList := d.linkScratch[:0]
+	// links holds the touched links that still carry unfixed flows, in
+	// first-touch order; each round drops the links it finds done. A
+	// link's share is recomputed only after its avail or unfixed changed,
+	// from the same operands, so every share compared is the one a fresh
+	// division gives.
+	links := d.linkScratch[:0]
 	unfixed := len(flowList)
 	for _, f := range flowList {
 		f.rate = 0
@@ -534,7 +557,8 @@ func (d *DataNet) maxmin() {
 				l.touched = true
 				l.avail = l.cap
 				l.unfixed = 0
-				linkList = append(linkList, l)
+				l.stale = true
+				links = append(links, l)
 			}
 			l.unfixed++
 		}
@@ -544,16 +568,24 @@ func (d *DataNet) maxmin() {
 		// still carry unfixed flows (ties resolved by first touch).
 		var bottleneck *link
 		share := math.Inf(1)
-		for _, l := range linkList {
+		open := 0
+		for _, l := range links {
 			if l.unfixed == 0 {
+				l.touched = false
 				continue
 			}
-			s := l.avail / float64(l.unfixed)
-			if s < share {
-				share = s
+			links[open] = l
+			open++
+			if l.stale {
+				l.share = l.avail / float64(l.unfixed)
+				l.stale = false
+			}
+			if l.share < share {
+				share = l.share
 				bottleneck = l
 			}
 		}
+		links = links[:open]
 		if bottleneck == nil {
 			// No constraining link (cannot happen: every flow crosses
 			// its node links). Guard against an infinite loop anyway.
@@ -580,14 +612,15 @@ func (d *DataNet) maxmin() {
 					l.avail = 0
 				}
 				l.unfixed--
+				l.stale = true
 			}
 		}
 	}
-	for _, l := range linkList {
+	for _, l := range links {
 		l.touched = false
 	}
 	d.flowScratch = flowList
-	d.linkScratch = linkList
+	d.linkScratch = links[:0]
 }
 
 // scheduleNextCompletion arms a single timer at the earliest projected

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -22,6 +23,14 @@ func newNet(t *testing.T, n int) (*sim.Engine, *DataNet) {
 	t.Helper()
 	eng := sim.NewEngine()
 	return eng, NewDataNet(eng, mustFatTree(n), DefaultConfig())
+}
+
+// flush runs the max-min solve Start queued for the current instant, so
+// a test can read rates right after starting flows.
+func flush(d *DataNet) {
+	if d.solve != nil && d.solve.Active() {
+		d.reallocate()
+	}
 }
 
 func run(t *testing.T, eng *sim.Engine) sim.Time {
@@ -90,6 +99,7 @@ func TestSingleFlowGetsNodeRate(t *testing.T) {
 	var rate float64
 	eng.Schedule(0, func() {
 		f := net.Start(0, 16, 16000, func() { doneAt = eng.Now() })
+		flush(net)
 		rate = f.Rate()
 	})
 	run(t, eng)
@@ -123,6 +133,7 @@ func TestTwoFlowsShareNodeLink(t *testing.T) {
 	eng.Schedule(0, func() {
 		f1 := net.Start(0, 1, 100000, nil)
 		f2 := net.Start(0, 2, 100000, nil)
+		flush(net)
 		r1, r2 = f1.Rate(), f2.Rate()
 	})
 	run(t, eng)
@@ -143,6 +154,7 @@ func TestFourFlowsOutOfClusterGet10Each(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			flows[i] = net.Start(i, i+4, 100000, nil)
 		}
+		flush(net)
 		for i, f := range flows {
 			rates[i] = f.Rate()
 		}
@@ -166,6 +178,7 @@ func TestRootContentionGives5PerNode(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			flows[i] = net.Start(i, i+16, 100000, nil)
 		}
+		flush(net)
 		for i, f := range flows {
 			rates[i] = f.Rate()
 		}
@@ -186,6 +199,7 @@ func TestIntraClusterPairsFullRate(t *testing.T) {
 		for c := 0; c < 8; c++ {
 			base := 4 * c
 			f := net.Start(base, base+1, 100000, nil)
+			flush(net)
 			rates = append(rates, f.Rate())
 		}
 	})
@@ -194,6 +208,42 @@ func TestIntraClusterPairsFullRate(t *testing.T) {
 		if math.Abs(r-20e6) > 1 {
 			t.Fatalf("flow %d rate = %g, want 20e6", i, r)
 		}
+	}
+}
+
+// TestSameInstantStartsShareOneSolve: sixteen flows started in one
+// instant cost one max-min solve, run by one engine event after the
+// last Start, and get the rates sixteen solves would give them.
+func TestSameInstantStartsShareOneSolve(t *testing.T) {
+	eng, net := newNet(t, 32)
+	reg := obs.NewRegistry()
+	net.SetMetrics(obs.Sim(reg))
+	solves := reg.Counter("net_maxmin_solves_total")
+	flows := make([]*Flow, 16)
+	var afterStarts int64
+	eng.Schedule(0, func() {
+		for i := range flows {
+			flows[i] = net.Start(i, i+16, 100000, nil)
+		}
+		afterStarts = solves.Value()
+		// Queued behind the solve the first Start armed.
+		eng.Schedule(eng.Now(), func() {
+			if got := solves.Value(); got != 1 {
+				t.Errorf("solves after 16 same-instant starts = %d, want 1", got)
+			}
+			for i, f := range flows {
+				if math.Abs(f.Rate()-5e6) > 1 {
+					t.Errorf("flow %d rate = %g, want 5e6", i, f.Rate())
+				}
+			}
+		})
+	})
+	run(t, eng)
+	if afterStarts != 0 {
+		t.Errorf("Start solved synchronously: %d solves before the instant ended", afterStarts)
+	}
+	if got := eng.Stats().EventsFired; got != 4 {
+		t.Errorf("events fired = %d, want 4: two test events, the solve, the completion", got)
 	}
 }
 
@@ -328,6 +378,7 @@ func TestQuickMaxMinFeasible(t *testing.T) {
 			if len(flows) == 0 {
 				return
 			}
+			flush(net)
 			// Check per-link feasibility.
 			usage := make(map[int]float64)
 			for _, fl := range flows {

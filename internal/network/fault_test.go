@@ -385,6 +385,7 @@ func TestMaxMinFairnessOnResidualGraph(t *testing.T) {
 				}
 				flows = append(flows, net.Start(src, dst, 4096, nil))
 			}
+			flush(net)
 			checkResidualMaxMin(t, net, flows)
 		})
 		if _, err := eng.Run(); err != nil {

@@ -50,6 +50,7 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 					}
 					flows = append(flows, net.Start(src, dst, 4000+rng.Intn(8000), nil))
 				}
+				flush(net)
 				checkMaxMin(t, tp, flows)
 			})
 			if _, err := eng.Run(); err != nil {

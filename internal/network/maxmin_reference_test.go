@@ -84,8 +84,16 @@ func crosses(f *Flow, l *link) bool {
 // degradations and background bursts, and after each one requires every
 // active flow's rate to equal the full reference solve bit for bit: the
 // component-local re-solve must be exactly the full solve, not an
-// approximation of it.
-func TestIncrementalMatchesReferenceSolve(t *testing.T) {
+// approximation of it. Every start is solved on its own (flush).
+func TestIncrementalMatchesReferenceSolve(t *testing.T) { checkAgainstReference(t, false) }
+
+// TestBurstMatchesReferenceSolve is the same drive with the starts left
+// to the solve Start defers: every start event and completion starts a
+// burst of flows in one instant, and the rates are compared only after
+// that instant's single solve ran.
+func TestBurstMatchesReferenceSolve(t *testing.T) { checkAgainstReference(t, true) }
+
+func checkAgainstReference(t *testing.T, burst bool) {
 	const n = 32
 	checks := map[string]int{}
 	for ti, tp := range maxminTopologies(t, n) {
@@ -97,6 +105,9 @@ func TestIncrementalMatchesReferenceSolve(t *testing.T) {
 			check := func(op string) {
 				t.Helper()
 				checks[op]++
+				if net.solve != nil && net.solve.Active() {
+					t.Fatalf("%s trial %d after %s: a solve is still pending", tp.Name(), trial, op)
+				}
 				ref := referenceRates(t, net)
 				if len(ref) != net.ActiveFlows() {
 					t.Fatalf("%s trial %d after %s: reference solved %d flows, %d active",
@@ -109,25 +120,53 @@ func TestIncrementalMatchesReferenceSolve(t *testing.T) {
 					}
 				}
 			}
+			// settle checks op's rates: at once after a flush, or in
+			// burst mode once no solve is pending, from an event queued
+			// behind the pending one.
+			var settle func(op string)
+			settle = func(op string) {
+				switch {
+				case !burst:
+					flush(net)
+					check(op)
+				case net.solve != nil && net.solve.Active():
+					eng.Schedule(eng.Now(), func() { settle(op) })
+				default:
+					check(op)
+				}
+			}
 			// Each completion checks the re-solve and, while the budget
-			// lasts, starts a replacement flow.
+			// lasts, starts replacement flows: one, or in burst mode up
+			// to four in the same instant.
 			budget := 40 + rng.Intn(40)
 			var start func()
 			start = func() {
 				src := rng.Intn(n)
 				dst := (src + 1 + rng.Intn(n-1)) % n
 				net.Start(src, dst, 2000+rng.Intn(12000), func() {
-					check("completion")
-					if budget > 0 {
+					settle("completion")
+					k := 1
+					if burst {
+						k += rng.Intn(4)
+					}
+					for ; k > 0 && budget > 0; k-- {
 						budget--
 						start()
 					}
+					if burst {
+						settle("start")
+					}
 				})
-				check("start")
+				if !burst {
+					settle("start")
+				}
 			}
 			eng.Schedule(0, func() {
 				for i := 0; i < 8+rng.Intn(24); i++ {
 					start()
+				}
+				if burst {
+					settle("start")
 				}
 			})
 			// A link on some active flow's route, so the fault lands on
@@ -168,7 +207,7 @@ func TestIncrementalMatchesReferenceSolve(t *testing.T) {
 					count, seed := 1+rng.Intn(4), rng.Int63()
 					eng.Schedule(at, func() {
 						net.InjectBackground(count, 1000+rng.Intn(6000), seed)
-						check("InjectBackground")
+						settle("InjectBackground")
 					})
 				}
 			}

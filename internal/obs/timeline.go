@@ -74,18 +74,6 @@ func (t *Timeline) RecordInstant(i Instant) {
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of the recorded spans in insertion order.
-func (t *Timeline) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
 // Instants returns a copy of the recorded instants in insertion order.
 func (t *Timeline) Instants() []Instant {
 	if t == nil {

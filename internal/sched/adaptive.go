@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cmmd"
@@ -132,6 +133,12 @@ func (ad *adaptivePlanner) phase(k int, now sim.Time) []Step {
 // planPhase plans the next phase: enough greedy-matching rounds to
 // cover at least half the transfers still unscheduled, under the
 // current rate estimates.
+//
+// Each round is a greedy matching over the remaining transfers sorted
+// longest estimate first (ties by (src, dst) so the order is total).
+// No simulation event runs while a phase is planned, so the estimates
+// hold still: one sort serves every round of the phase, each round
+// walking the transfers the earlier rounds left.
 func (ad *adaptivePlanner) planPhase(now sim.Time) {
 	ad.starts = append(ad.starts, ad.rounds)
 	if len(ad.remaining) == 0 {
@@ -139,15 +146,28 @@ func (ad *adaptivePlanner) planPhase(now sim.Time) {
 		return
 	}
 	target := (len(ad.remaining) + 1) / 2
+	order := ad.rank()
+	reverse := make(map[pairKey]int, len(ad.remaining))
+	for i, tr := range ad.remaining {
+		reverse[pairKey{tr.Src, tr.Dst}] = i
+	}
+	busy := make([]bool, ad.n)
+	taken := make([]bool, len(ad.remaining))
 	var steps []Step
-	for covered := 0; covered < target; {
-		st := ad.planRound()
-		if len(st) == 0 {
-			break
-		}
+	for covered := 0; covered < target && len(order) > 0; {
+		clear(busy)
+		st := ad.matchRound(order, reverse, busy, taken)
+		order = slices.DeleteFunc(order, func(i int) bool { return taken[i] })
 		steps = append(steps, st)
 		covered += len(st)
 	}
+	var rest []Transfer
+	for i, tr := range ad.remaining {
+		if !taken[i] {
+			rest = append(rest, tr)
+		}
+	}
+	ad.remaining = rest
 	ad.rounds += len(steps)
 	ad.phases = append(ad.phases, steps)
 	if ad.met != nil {
@@ -160,13 +180,9 @@ func (ad *adaptivePlanner) planPhase(now sim.Time) {
 	})
 }
 
-// planRound builds one round: remaining transfers sorted longest
-// estimate first (ties by (src, dst) so the order is total), then a
-// greedy matching over free nodes. When both directions of a pair
-// remain they travel together in the paper's Figure-2 order — the
-// higher rank's send listed first, so the lower rank receives before
-// sending and the exchange cannot deadlock.
-func (ad *adaptivePlanner) planRound() Step {
+// rank returns the indices of the remaining transfers, longest estimate
+// first, ties by (src, dst).
+func (ad *adaptivePlanner) rank() []int {
 	est := make([]float64, len(ad.remaining))
 	order := make([]int, len(ad.remaining))
 	for i, tr := range ad.remaining {
@@ -184,12 +200,15 @@ func (ad *adaptivePlanner) planRound() Step {
 		}
 		return ta.Dst < tb.Dst
 	})
-	reverse := make(map[pairKey]int, len(ad.remaining))
-	for i, tr := range ad.remaining {
-		reverse[pairKey{tr.Src, tr.Dst}] = i
-	}
-	busy := make([]bool, ad.n)
-	taken := make([]bool, len(ad.remaining))
+	return order
+}
+
+// matchRound builds one round: a greedy matching over free nodes,
+// taking untaken transfers in rank order. When both directions of a
+// pair remain they travel together in the paper's Figure-2 order — the
+// higher rank's send listed first, so the lower rank receives before
+// sending and the exchange cannot deadlock.
+func (ad *adaptivePlanner) matchRound(order []int, reverse map[pairKey]int, busy, taken []bool) Step {
 	var st Step
 	for _, i := range order {
 		tr := ad.remaining[i]
@@ -210,13 +229,6 @@ func (ad *adaptivePlanner) planRound() Step {
 			st = append(st, tr)
 		}
 	}
-	var rest []Transfer
-	for i, tr := range ad.remaining {
-		if !taken[i] {
-			rest = append(rest, tr)
-		}
-	}
-	ad.remaining = rest
 	return st
 }
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/pattern"
@@ -94,22 +93,22 @@ func GS(m pattern.Matrix) *Schedule { return GSWith(m, GSOptions{}) }
 // For a complete exchange this degenerates to pairwise exchange; for
 // sparse patterns it usually needs fewer steps than PS/BS because idle
 // pairings are never scheduled.
+//
+// Each processor's pending destinations are listed once, in the scan
+// order pick walks, so an iteration costs the destinations still
+// pending rather than N per processor. Every iteration schedules at
+// least one transfer: the lowest processor with pending messages finds
+// every partner available.
 func GSWith(m pattern.Matrix, opts GSOptions) *Schedule {
 	n := m.N()
 	s := &Schedule{Algorithm: "GS", N: n}
-	need := m.Clone()
-	remaining := need.Messages()
-	var rng *rand.Rand
+	g := newGSRows(m)
 	if opts.RandomTieBreak {
-		rng = rand.New(rand.NewSource(opts.Seed))
+		g.rng = rand.New(rand.NewSource(opts.Seed))
 	}
-	guard := 0
-	for remaining > 0 {
-		guard++
-		if guard > n*n+n {
-			panic(fmt.Sprintf("sched: GS failed to converge with %d messages left", remaining))
-		}
-		avail := make([]bool, n)
+	need := g.need
+	avail := make([]bool, n)
+	for g.remaining > 0 {
 		for i := range avail {
 			avail[i] = true
 		}
@@ -118,47 +117,87 @@ func GSWith(m pattern.Matrix, opts GSOptions) *Schedule {
 			if !avail[i] {
 				continue
 			}
-			j := gsPick(need, avail, i, rng)
+			j := g.pick(i, avail)
 			if j < 0 {
 				continue
 			}
 			st = append(st, Transfer{Src: i, Dst: j, Bytes: need[i][j]})
 			need[i][j] = 0
-			remaining--
+			g.remaining--
 			if need[j][i] > 0 {
 				st = append(st, Transfer{Src: j, Dst: i, Bytes: need[j][i]})
 				need[j][i] = 0
-				remaining--
+				g.remaining--
 			}
 			avail[i], avail[j] = false, false
 		}
-		if len(st) > 0 {
-			s.Steps = append(s.Steps, st)
-		}
+		s.Steps = append(s.Steps, st)
 	}
 	return s
 }
 
-// gsPick selects the partner processor i sends to this iteration: the
-// next available destination scanning upward from i+1 (wrapping), or a
-// random available destination under RandomTieBreak. The ascending scan
-// makes GS reduce to the round-robin pairwise schedule on a complete
-// exchange, the equivalence the paper notes in Section 4.4.
-func gsPick(need pattern.Matrix, avail []bool, i int, rng *rand.Rand) int {
-	n := need.N()
-	var candidates []int
-	for off := 1; off < n; off++ {
-		j := (i + off) % n
-		if !avail[j] || need[i][j] == 0 {
+// gsRows is GS's pending work: the bytes each pair still has to send
+// and, per processor, its pending destinations in scan order (upward
+// from i+1, wrapping). A destination whose bytes went as the return
+// half of an exchange stays listed until a walk passes it.
+type gsRows struct {
+	need      pattern.Matrix
+	rows      [][]int32
+	remaining int
+	rng       *rand.Rand // nil: deterministic next-available scan
+	cands     []int32    // RandomTieBreak scratch
+}
+
+func newGSRows(m pattern.Matrix) *gsRows {
+	n := m.N()
+	g := &gsRows{need: m.Clone(), rows: make([][]int32, n)}
+	dsts := make([]int32, 0, m.Messages()) // exact but for self-messages, so never regrown
+	for i := 0; i < n; i++ {
+		start := len(dsts)
+		for off := 1; off < n; off++ {
+			if j := (i + off) % n; m[i][j] > 0 {
+				dsts = append(dsts, int32(j))
+			}
+		}
+		g.rows[i] = dsts[start:len(dsts):len(dsts)]
+	}
+	g.remaining = len(dsts)
+	return g
+}
+
+// pick selects the partner processor i sends to this iteration: the
+// next available destination in scan order, or a random available
+// destination under RandomTieBreak. The ascending scan makes GS reduce
+// to the round-robin pairwise schedule on a complete exchange, the
+// equivalence the paper notes in Section 4.4. The walk compacts away
+// the destinations already sent to.
+func (g *gsRows) pick(i int, avail []bool) int {
+	need, row := g.need[i], g.rows[i]
+	g.cands = g.cands[:0]
+	w := 0
+	for r, j := range row {
+		if need[j] == 0 {
 			continue
 		}
-		if rng == nil {
-			return j
+		row[w] = j
+		w++
+		if !avail[j] {
+			continue
 		}
-		candidates = append(candidates, j)
+		if g.rng == nil {
+			if w <= r {
+				w += copy(row[w:], row[r+1:])
+			} else {
+				w = len(row)
+			}
+			g.rows[i] = row[:w]
+			return int(j)
+		}
+		g.cands = append(g.cands, j)
 	}
-	if len(candidates) == 0 {
+	g.rows[i] = row[:w]
+	if len(g.cands) == 0 {
 		return -1
 	}
-	return candidates[rng.Intn(len(candidates))]
+	return int(g.cands[g.rng.Intn(len(g.cands))])
 }

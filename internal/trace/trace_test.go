@@ -219,6 +219,26 @@ func TestLookupUnknownAppListsNames(t *testing.T) {
 	}
 }
 
+// Sizes outside [0, MaxSize] fail before anything is allocated: a
+// 10^6-edge fft would otherwise build a 10^6 x 10^6 complex array.
+func TestRecordRejectsSizesOutsideBound(t *testing.T) {
+	cfg := network.DefaultConfig()
+	for _, name := range Apps() {
+		a, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.DefaultSize <= 0 || a.DefaultSize > a.MaxSize {
+			t.Errorf("%s: default size %d outside (0, MaxSize %d]", name, a.DefaultSize, a.MaxSize)
+		}
+		for _, size := range []int{-1, a.MaxSize + 1, 1000000} {
+			if _, err := Record(name, size, 4, 1, cfg); err == nil || !strings.Contains(err.Error(), "must be in [0,") {
+				t.Errorf("%s size %d: err = %v, want a range error", name, size, err)
+			}
+		}
+	}
+}
+
 // The input-addressed hash is computable without recording and is
 // sensitive to every identifying input.
 func TestHashForAddressesInputs(t *testing.T) {
