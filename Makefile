@@ -39,7 +39,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig5 -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
-	$(GO) test -run '^$$' -bench 'GSPlan|ASPlan' -benchtime 1x ./internal/sched/
+	$(GO) test -run '^$$' -bench 'ExchangePlan|GSPlan|ASPlan' -benchtime 1x ./internal/sched/
 	$(GO) test -run '^$$' -bench Maxmin -benchtime 1x ./internal/network/
 
 # The layered benchmark's own tests. bench/ is a Go module of its own,

@@ -92,7 +92,7 @@ func BenchmarkTable5FFT(b *testing.B) {
 			b.Run(fmt.Sprintf("P%d/%dx%d/%s", cse.procs, cse.size, cse.size, alg), func(b *testing.B) {
 				total := 0.0
 				for i := 0; i < b.N; i++ {
-					res, err := fft.Run2D(cse.procs, input, alg, cfg)
+					res, err := fft.Run2D(cse.procs, input, fft.Options{Alg: alg}, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

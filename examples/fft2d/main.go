@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("2-D FFT, %dx%d array on %d simulated CM-5 nodes\n\n", size, size, procs)
 	fmt.Printf("%6s  %12s  %14s  %10s\n", "alg", "sim time (s)", "bytes per pair", "max error")
 	for _, alg := range []string{"LEX", "PEX", "REX", "BEX"} {
-		res, err := fft.Run2D(procs, input, alg, cfg)
+		res, err := fft.Run2D(procs, input, fft.Options{Alg: alg}, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

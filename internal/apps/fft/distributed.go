@@ -3,6 +3,7 @@ package fft
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/cmmd"
 	"repro/internal/network"
@@ -23,19 +24,22 @@ type Result struct {
 	BytesPerPair int
 }
 
-// Run2D executes the paper's distributed 2-D FFT on nprocs simulated
-// nodes using the named complete-exchange algorithm (LEX, PEX, REX, BEX)
-// for the transpose. The input array is rows x cols, both powers of two
-// and divisible by nprocs.
-func Run2D(nprocs int, input [][]complex128, alg string, cfg network.Config) (*Result, error) {
-	return Run2DWithSink(nprocs, input, alg, cfg, nil)
+// Options configures a distributed 2-D FFT run.
+type Options struct {
+	// Alg names the transpose's complete-exchange algorithm: one of the
+	// registry's paper exchanges (sched.FamilyNames(sched.KindExchange)).
+	Alg string
+	// TraceSink, when non-nil, receives every data-network message
+	// event of the run (cmmd.Machine.SetTraceSink) — the recording
+	// entry point of internal/trace. It never changes simulated timing.
+	TraceSink func(cmmd.MsgEvent)
 }
 
-// Run2DWithSink is Run2D with a message-trace sink attached to the
-// machine (cmmd.Machine.SetTraceSink) — the recording entry point of
-// internal/trace. The sink never changes simulated timing; nil behaves
-// exactly like Run2D.
-func Run2DWithSink(nprocs int, input [][]complex128, alg string, cfg network.Config, sink func(cmmd.MsgEvent)) (*Result, error) {
+// Run2D executes the paper's distributed 2-D FFT on nprocs simulated
+// nodes, transposing with the complete exchange opts.Alg names. The
+// input array is rows x cols, both powers of two and divisible by
+// nprocs. The transpose is planned once per run, before any node starts.
+func Run2D(nprocs int, input [][]complex128, opts Options, cfg network.Config) (*Result, error) {
 	rows := len(input)
 	if rows == 0 {
 		return nil, fmt.Errorf("fft: empty input")
@@ -47,22 +51,36 @@ func Run2DWithSink(nprocs int, input [][]complex128, alg string, cfg network.Con
 	if rows&(rows-1) != 0 || cols&(cols-1) != 0 {
 		return nil, fmt.Errorf("fft: dimensions must be powers of two")
 	}
-	switch alg {
-	case "LEX", "PEX", "REX", "BEX":
-	default:
-		return nil, fmt.Errorf("fft: unknown exchange algorithm %q", alg)
+	alg, err := sched.Lookup(opts.Alg)
+	if err != nil {
+		return nil, err
+	}
+	if alg.Kind != sched.KindExchange || alg.Aux {
+		return nil, fmt.Errorf("fft: %s is not one of the complete exchanges (%s)",
+			alg.Name, strings.Join(sched.FamilyNames(sched.KindExchange), " "))
+	}
+	rpb := rows / nprocs // rows per block
+	cpb := cols / nprocs // cols per block
+	blockBytes := rpb * cpb * 8
+	// REX moves real blocks as rexAllToAll does: store and forward, with
+	// 12-byte routing headers and its own pack costs. The registry's REX
+	// program (sched.ExecuteREXNode) sends synthetic payloads of the
+	// schedule's sizes, so running it here would change Table 5. A nil
+	// schedule selects rexAllToAll.
+	var s *sched.Schedule
+	if alg.Name != "REX" {
+		if s, err = alg.Plan(sched.Request{N: nprocs, Bytes: blockBytes}); err != nil {
+			return nil, err
+		}
 	}
 
 	m, err := cmmd.NewMachine(nprocs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if sink != nil {
-		m.SetTraceSink(sink)
+	if opts.TraceSink != nil {
+		m.SetTraceSink(opts.TraceSink)
 	}
-	rpb := rows / nprocs // rows per block
-	cpb := cols / nprocs // cols per block
-	blockBytes := rpb * cpb * 8
 	out := make([][]complex128, cols)
 
 	program := func(n *cmmd.Node) {
@@ -106,18 +124,9 @@ func Run2DWithSink(nprocs int, input [][]complex128, alg string, cfg network.Con
 		n.MemCopy(blockBytes)
 		placeBlock(me, packBlock(me))
 
-		if alg == "REX" {
+		if s == nil {
 			rexAllToAll(n, blockBytes, packBlock, placeBlock)
 		} else {
-			var s *sched.Schedule
-			switch alg {
-			case "LEX":
-				s = sched.LEX(nprocs, blockBytes)
-			case "PEX":
-				s = sched.PEX(nprocs, blockBytes)
-			case "BEX":
-				s = sched.BEX(nprocs, blockBytes)
-			}
 			hooks := sched.DataHooks{
 				OnSend: func(step, src, dst int) []byte {
 					n.MemCopy(blockBytes) // pack

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/network"
+	"repro/internal/sched"
 )
 
 func randSignal(n int, seed int64) []complex128 {
@@ -174,7 +176,7 @@ func checkDistributedResult(t *testing.T, input [][]complex128, res *Result) {
 func TestDistributedFFTAllAlgorithmsCorrect(t *testing.T) {
 	input := distInput(32, 32, 77)
 	for _, alg := range []string{"LEX", "PEX", "REX", "BEX"} {
-		res, err := Run2D(8, input, alg, network.DefaultConfig())
+		res, err := Run2D(8, input, Options{Alg: alg}, network.DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -187,7 +189,7 @@ func TestDistributedFFTAllAlgorithmsCorrect(t *testing.T) {
 
 func TestDistributedFFTRectangular(t *testing.T) {
 	input := distInput(16, 64, 31)
-	res, err := Run2D(4, input, "PEX", network.DefaultConfig())
+	res, err := Run2D(4, input, Options{Alg: "PEX"}, network.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +201,28 @@ func TestDistributedFFTRectangular(t *testing.T) {
 
 func TestDistributedFFTValidation(t *testing.T) {
 	input := distInput(16, 16, 1)
-	if _, err := Run2D(8, distInput(12, 16, 1), "PEX", network.DefaultConfig()); err == nil {
-		t.Fatal("non-divisible rows should fail")
-	}
-	if _, err := Run2D(8, input, "ZZZ", network.DefaultConfig()); err == nil {
-		t.Fatal("unknown algorithm should fail")
-	}
-	if _, err := Run2D(8, nil, "PEX", network.DefaultConfig()); err == nil {
-		t.Fatal("empty input should fail")
+	for _, c := range []struct {
+		name    string
+		input   [][]complex128
+		alg     string
+		unknown bool // the error wraps sched.ErrUnknownAlgorithm
+	}{
+		{"non-divisible rows", distInput(12, 16, 1), "PEX", false},
+		{"empty input", nil, "PEX", false},
+		{"unknown algorithm", input, "ZZZ", true},
+		{"shift is no transpose", input, "SHIFT", false},
+		{"irregular scheduler", input, "GS", false},
+		{"broadcast", input, "LIB", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run2D(8, c.input, Options{Alg: c.alg}, network.DefaultConfig())
+			if err == nil {
+				t.Fatalf("%s: Run2D accepted it", c.alg)
+			}
+			if got := errors.Is(err, sched.ErrUnknownAlgorithm); got != c.unknown {
+				t.Fatalf("%s: errors.Is(%v, ErrUnknownAlgorithm) = %v, want %v", c.alg, err, got, c.unknown)
+			}
+		})
 	}
 }
 
@@ -216,7 +232,7 @@ func TestDistributedFFTTimingOrdering(t *testing.T) {
 	input := distInput(64, 64, 13)
 	times := map[string]float64{}
 	for _, alg := range []string{"LEX", "PEX", "BEX"} {
-		res, err := Run2D(8, input, alg, network.DefaultConfig())
+		res, err := Run2D(8, input, Options{Alg: alg}, network.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func Table5Spec(nprocs int, maxSize int, cfg network.Config) *TableSpec {
 			spec.AddCell(fmt.Sprintf("table5/P%d/%s/%dx%d", nprocs, alg, size, size),
 				func(ctx context.Context, _ int64, rec *Rec) error {
 					input := fftInput(size, size, int64(size))
-					res, err := fft.Run2D(nprocs, input, alg, cfg)
+					res, err := fft.Run2D(nprocs, input, fft.Options{Alg: alg}, cfg)
 					if err != nil {
 						return err
 					}

@@ -12,20 +12,7 @@ import (
 // with data for processor i send it; everyone else is idle. Steps with no
 // communication are dropped.
 func LS(m pattern.Matrix) *Schedule {
-	n := m.N()
-	s := &Schedule{Algorithm: "LS", N: n}
-	for i := 0; i < n; i++ {
-		var st Step
-		for j := 0; j < n; j++ {
-			if j != i && m[j][i] > 0 {
-				st = append(st, Transfer{Src: j, Dst: i, Bytes: m[j][i]})
-			}
-		}
-		if len(st) > 0 {
-			s.Steps = append(s.Steps, st)
-		}
-	}
-	return s
+	return linear("LS", m.N(), sizes{pat: m})
 }
 
 // PS builds the Pairwise Scheduling schedule (paper Section 4.2,
@@ -34,41 +21,19 @@ func LS(m pattern.Matrix) *Schedule {
 // matrix. Empty steps are dropped (the paper's pattern P completes in 6
 // steps rather than PEX's 7).
 func PS(m pattern.Matrix) *Schedule {
-	return pairedIrregular(m, "PS", func(lo, j, n int) int { return PEXPartner(lo, j) })
+	n := m.N()
+	checkN(n)
+	return pairwise("PS", n, 1, n, PEXPartner, sizes{pat: m})
 }
 
 // BS builds the Balanced Scheduling schedule (paper Section 4.3,
 // Table 9): the balanced-exchange pairings filtered by the communication
 // matrix.
 func BS(m pattern.Matrix) *Schedule {
-	return pairedIrregular(m, "BS", func(lo, j, n int) int { return BEXPartner(lo, j, n) })
-}
-
-func pairedIrregular(m pattern.Matrix, name string, partner func(lo, j, n int) int) *Schedule {
 	n := m.N()
 	checkN(n)
-	s := &Schedule{Algorithm: name, N: n}
-	for j := 1; j < n; j++ {
-		var st Step
-		for lo := 0; lo < n; lo++ {
-			hi := partner(lo, j, n)
-			if lo >= hi {
-				continue
-			}
-			// Keep the exchange ordering [hi->lo, lo->hi] when both
-			// directions exist; otherwise a single transfer.
-			if m[hi][lo] > 0 {
-				st = append(st, Transfer{Src: hi, Dst: lo, Bytes: m[hi][lo]})
-			}
-			if m[lo][hi] > 0 {
-				st = append(st, Transfer{Src: lo, Dst: hi, Bytes: m[lo][hi]})
-			}
-		}
-		if len(st) > 0 {
-			s.Steps = append(s.Steps, st)
-		}
-	}
-	return s
+	bex := func(lo, j int) int { return BEXPartner(lo, j, n) }
+	return pairwise("BS", n, 1, n, bex, sizes{pat: m})
 }
 
 // GSOptions tunes the greedy scheduler.

@@ -1,12 +1,93 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/pattern"
+)
 
 // checkN validates a processor count for the regular algorithms.
 func checkN(n int) {
 	if n < 2 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("sched: processor count %d must be a power of two >= 2", n))
 	}
+}
+
+// sizes is a step generator's size rule: the bytes a src->dst transfer
+// carries and whether it is listed at all. The complete exchanges list
+// every transfer at one size, 0-byte ones included; the irregular
+// schedulers list only a pattern's positive entries.
+type sizes struct {
+	bytes int            // every transfer's size when pat is nil
+	pat   pattern.Matrix // per-pair sizes
+}
+
+func (z sizes) of(src, dst int) (int, bool) {
+	if z.pat == nil {
+		return z.bytes, true
+	}
+	b := z.pat[src][dst]
+	return b, b > 0
+}
+
+// keep appends a generator's filled scratch step to the schedule as an
+// exact-size copy, and drops it when the size rule left it empty. Steps
+// is sized for maxSteps when the first step is kept, so a schedule with
+// no transfers keeps Steps nil. Each step is its own allocation: cutting
+// every step from one backing array makes a plan one large object, and
+// raised the peak RSS of runs of complete exchanges.
+func (s *Schedule) keep(st Step, maxSteps int) {
+	if len(st) == 0 {
+		return
+	}
+	if s.Steps == nil {
+		s.Steps = make([]Step, 0, maxSteps)
+	}
+	s.Steps = append(s.Steps, append(make(Step, 0, len(st)), st...))
+}
+
+// linear generates Linear Exchange steps (Section 3.1): step i lists
+// every j != i sending to i, in rank order.
+func linear(name string, n int, z sizes) *Schedule {
+	s := &Schedule{Algorithm: name, N: n}
+	st := make(Step, 0, n)
+	for i := 0; i < n; i++ {
+		st = st[:0]
+		for j := 0; j < n; j++ {
+			if b, ok := z.of(j, i); ok && j != i {
+				st = append(st, Transfer{Src: j, Dst: i, Bytes: b})
+			}
+		}
+		s.keep(st, n)
+	}
+	return s
+}
+
+// pairwise generates steps of pairings (Sections 3.2-3.4): step k, for
+// k in [first, last), lists every pair lo < partner(lo, k), in rank
+// order of lo, as [hi->lo, lo->hi], so the lower rank receives first:
+// Figure 2's deadlock-free ordering under synchronous sends. A pair
+// whose size rule lists one direction only is a single transfer.
+func pairwise(name string, n, first, last int, partner func(lo, k int) int, z sizes) *Schedule {
+	s := &Schedule{Algorithm: name, N: n}
+	st := make(Step, 0, n)
+	for k := first; k < last; k++ {
+		st = st[:0]
+		for lo := 0; lo < n; lo++ {
+			hi := partner(lo, k)
+			if lo >= hi {
+				continue
+			}
+			if b, ok := z.of(hi, lo); ok {
+				st = append(st, Transfer{Src: hi, Dst: lo, Bytes: b})
+			}
+			if b, ok := z.of(lo, hi); ok {
+				st = append(st, Transfer{Src: lo, Dst: hi, Bytes: b})
+			}
+		}
+		s.keep(st, last-first)
+	}
+	return s
 }
 
 // LEX builds the Linear Exchange schedule for a complete exchange of
@@ -16,17 +97,7 @@ func checkN(n int) {
 // serializes the whole step, which is why LEX performs worst.
 func LEX(n, bytesPerPair int) *Schedule {
 	checkN(n)
-	s := &Schedule{Algorithm: "LEX", N: n}
-	for i := 0; i < n; i++ {
-		var st Step
-		for j := 0; j < n; j++ {
-			if j != i {
-				st = append(st, Transfer{Src: j, Dst: i, Bytes: bytesPerPair})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-	return s
+	return linear("LEX", n, sizes{bytes: bytesPerPair})
 }
 
 // PEXPartner returns processor i's partner in step j (1 <= j <= N-1) of
@@ -34,25 +105,10 @@ func LEX(n, bytesPerPair int) *Schedule {
 func PEXPartner(i, j int) int { return i ^ j }
 
 // PEX builds the Pairwise Exchange schedule (paper Section 3.2, Figure 2,
-// Table 2): N-1 steps; in step j processor i exchanges with i XOR j. Each
-// exchange is listed [hi->lo, lo->hi] so the lower rank receives first —
-// Figure 2's deadlock-free ordering under synchronous sends.
+// Table 2): N-1 steps; in step j processor i exchanges with i XOR j.
 func PEX(n, bytesPerPair int) *Schedule {
 	checkN(n)
-	s := &Schedule{Algorithm: "PEX", N: n}
-	for j := 1; j < n; j++ {
-		var st Step
-		for lo := 0; lo < n; lo++ {
-			hi := PEXPartner(lo, j)
-			if lo < hi {
-				st = append(st,
-					Transfer{Src: hi, Dst: lo, Bytes: bytesPerPair},
-					Transfer{Src: lo, Dst: hi, Bytes: bytesPerPair})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-	return s
+	return pairwise("PEX", n, 1, n, PEXPartner, sizes{bytes: bytesPerPair})
 }
 
 // BEXPartner returns processor i's partner in step j of the Balanced
@@ -74,20 +130,8 @@ func BEXPartner(i, j, n int) int {
 // saturating the fat-tree root in a block of steps as PEX does.
 func BEX(n, bytesPerPair int) *Schedule {
 	checkN(n)
-	s := &Schedule{Algorithm: "BEX", N: n}
-	for j := 1; j < n; j++ {
-		var st Step
-		for lo := 0; lo < n; lo++ {
-			hi := BEXPartner(lo, j, n)
-			if lo < hi {
-				st = append(st,
-					Transfer{Src: hi, Dst: lo, Bytes: bytesPerPair},
-					Transfer{Src: lo, Dst: hi, Bytes: bytesPerPair})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-	return s
+	bex := func(lo, j int) int { return BEXPartner(lo, j, n) }
+	return pairwise("BEX", n, 1, n, bex, sizes{bytes: bytesPerPair})
 }
 
 // REXPartner returns processor i's partner in step k (0-based) of the
@@ -109,21 +153,8 @@ func REXPartner(i, k, n int) int {
 // charges the store-and-forward pack and unpack costs.
 func REX(n, bytesPerPair int) *Schedule {
 	checkN(n)
-	s := &Schedule{Algorithm: "REX", N: n}
-	msg := bytesPerPair * n / 2
-	for k := 0; n>>uint(k) >= 2; k++ {
-		var st Step
-		for lo := 0; lo < n; lo++ {
-			hi := REXPartner(lo, k, n)
-			if lo < hi {
-				st = append(st,
-					Transfer{Src: hi, Dst: lo, Bytes: msg},
-					Transfer{Src: lo, Dst: hi, Bytes: msg})
-			}
-		}
-		s.Steps = append(s.Steps, st)
-	}
-	return s
+	rex := func(lo, k int) int { return REXPartner(lo, k, n) }
+	return pairwise("REX", n, 0, LgN(n), rex, sizes{bytes: bytesPerPair * n / 2})
 }
 
 // Shift builds the circular-shift pattern the paper lists among the

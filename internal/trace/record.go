@@ -196,7 +196,7 @@ func recordFFT(size, nprocs int, seed int64, cfg network.Config, sink func(cmmd.
 		}
 		input[r] = row
 	}
-	_, err := fft.Run2DWithSink(nprocs, input, fftTraceAlg, cfg, sink)
+	_, err := fft.Run2D(nprocs, input, fft.Options{Alg: fftTraceAlg, TraceSink: sink}, cfg)
 	return err
 }
 
