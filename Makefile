@@ -33,13 +33,14 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 
 # One iteration of every Figure-5 benchmark, of every engine
-# micro-benchmark, of the GS and AS planners and of the same-instant
-# max-min burst: catches compile or assertion breakage in the benchmark
-# harnesses without paying for stable numbers.
+# micro-benchmark, of the GS and AS planners, of the simulated complete
+# exchanges and of the same-instant max-min burst: catches compile or
+# assertion breakage in the benchmark harnesses without paying for
+# stable numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig5 -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
-	$(GO) test -run '^$$' -bench 'ExchangePlan|GSPlan|ASPlan' -benchtime 1x ./internal/sched/
+	$(GO) test -run '^$$' -bench 'ExchangePlan|GSPlan|ASPlan|Execute' -benchtime 1x ./internal/sched/
 	$(GO) test -run '^$$' -bench Maxmin -benchtime 1x ./internal/network/
 
 # The layered benchmark's own tests. bench/ is a Go module of its own,

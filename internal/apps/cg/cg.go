@@ -157,6 +157,7 @@ func Solve(nprocs int, m *mesh.Mesh, b []float64, opts Options, cfg network.Conf
 	if err != nil {
 		return nil, err
 	}
+	index := sched.NewIndex(schedule)
 	a := BuildLaplacianPlusI(m)
 
 	mach, err := cmmd.NewMachine(nprocs, cfg)
@@ -204,7 +205,7 @@ func Solve(nprocs int, m *mesh.Mesh, b []float64, opts Options, cfg network.Conf
 					node.MemCopy(len(msg.Data))
 				},
 			}
-			sched.ExecuteNode(node, schedule, hooks)
+			sched.ExecuteNode(node, index, hooks)
 		}
 		localDot := func(u, w []float64) float64 {
 			s := 0.0

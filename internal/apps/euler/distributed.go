@@ -66,6 +66,7 @@ func Run(nprocs int, m *mesh.Mesh, initFn func(mesh.Point) State, opts Options, 
 	if err != nil {
 		return nil, err
 	}
+	index := sched.NewIndex(schedule)
 	mach, err := cmmd.NewMachine(nprocs, cfg)
 	if err != nil {
 		return nil, err
@@ -127,7 +128,7 @@ func Run(nprocs int, m *mesh.Mesh, initFn func(mesh.Point) State, opts Options, 
 					node.MemCopy(len(msg.Data))
 				},
 			}
-			sched.ExecuteNode(node, schedule, hooks)
+			sched.ExecuteNode(node, index, hooks)
 		}
 
 		for step := 0; step < opts.Steps; step++ {

@@ -67,11 +67,13 @@ func Run2D(nprocs int, input [][]complex128, opts Options, cfg network.Config) (
 	// program (sched.ExecuteREXNode) sends synthetic payloads of the
 	// schedule's sizes, so running it here would change Table 5. A nil
 	// schedule selects rexAllToAll.
-	var s *sched.Schedule
+	var index *sched.Index
 	if alg.Name != "REX" {
-		if s, err = alg.Plan(sched.Request{N: nprocs, Bytes: blockBytes}); err != nil {
+		s, err := alg.Plan(sched.Request{N: nprocs, Bytes: blockBytes})
+		if err != nil {
 			return nil, err
 		}
+		index = sched.NewIndex(s)
 	}
 
 	m, err := cmmd.NewMachine(nprocs, cfg)
@@ -101,43 +103,52 @@ func Run2D(nprocs int, input [][]complex128, opts Options, cfg network.Config) (
 		for c := range newRows {
 			newRows[c] = make([]complex128, rows)
 		}
-		packBlock := func(dst int) []byte {
-			vals := make([]complex128, 0, rpb*cpb)
-			for c := 0; c < cpb; c++ {
-				for r := 0; r < rpb; r++ {
-					vals = append(vals, local[r][dst*cpb+c])
-				}
-			}
-			return encodeComplex64(vals)
-		}
-		placeBlock := func(src int, payload []byte) {
-			vals := decodeComplex64(payload)
+		// packBlock encodes the block for dst into buf, column by
+		// column, straight from local; placeBlock decodes a payload
+		// straight into newRows.
+		packBlock := func(buf []byte, dst int) []byte {
 			i := 0
 			for c := 0; c < cpb; c++ {
 				for r := 0; r < rpb; r++ {
-					newRows[c][src*rpb+r] = vals[i]
-					i++
+					putComplex64(buf[i:], local[r][dst*cpb+c])
+					i += 8
+				}
+			}
+			return buf
+		}
+		placeBlock := func(src int, payload []byte) {
+			i := 0
+			for c := 0; c < cpb; c++ {
+				for r := 0; r < rpb; r++ {
+					newRows[c][src*rpb+r] = getComplex64(payload[i:])
+					i += 8
 				}
 			}
 		}
+		// One send buffer serves every block: a synchronous send copies
+		// the payload for the receiver at the rendezvous, and an
+		// asynchronous one snapshots it, before Send returns.
+		sendBuf := make([]byte, blockBytes)
 		// The local block never touches the network.
 		n.MemCopy(blockBytes)
-		placeBlock(me, packBlock(me))
+		placeBlock(me, packBlock(sendBuf, me))
 
-		if s == nil {
-			rexAllToAll(n, blockBytes, packBlock, placeBlock)
+		if index == nil {
+			// REX retains the blocks it forwards, so each gets its own.
+			pack := func(dst int) []byte { return packBlock(make([]byte, blockBytes), dst) }
+			rexAllToAll(n, blockBytes, pack, placeBlock)
 		} else {
 			hooks := sched.DataHooks{
 				OnSend: func(step, src, dst int) []byte {
 					n.MemCopy(blockBytes) // pack
-					return packBlock(dst)
+					return packBlock(sendBuf, dst)
 				},
 				OnRecv: func(step int, msg cmmd.Message) {
 					n.MemCopy(len(msg.Data)) // unpack
 					placeBlock(msg.Src, msg.Data)
 				},
 			}
-			sched.ExecuteNode(n, s, hooks)
+			sched.ExecuteNode(n, index, hooks)
 		}
 
 		// Phase 3: row FFTs on the transposed data.

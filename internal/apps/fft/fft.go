@@ -119,26 +119,16 @@ func FFTFlops(n int) float64 {
 	return 5 * float64(n) * float64(lg)
 }
 
-// encodeComplex64 serializes values as single-precision complex pairs —
-// 8 bytes per element, the element size of the paper's arrays.
-func encodeComplex64(vals []complex128) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		putFloat32(buf[8*i:], float32(real(v)))
-		putFloat32(buf[8*i+4:], float32(imag(v)))
-	}
-	return buf
+// putComplex64 serializes v as a single-precision complex pair into
+// b[:8] — 8 bytes per element, the element size of the paper's arrays.
+func putComplex64(b []byte, v complex128) {
+	putFloat32(b, float32(real(v)))
+	putFloat32(b[4:], float32(imag(v)))
 }
 
-func decodeComplex64(buf []byte) []complex128 {
-	n := len(buf) / 8
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		re := getFloat32(buf[8*i:])
-		im := getFloat32(buf[8*i+4:])
-		out[i] = complex(float64(re), float64(im))
-	}
-	return out
+// getComplex64 reads the pair putComplex64 wrote.
+func getComplex64(b []byte) complex128 {
+	return complex(float64(getFloat32(b)), float64(getFloat32(b[4:])))
 }
 
 func putFloat32(b []byte, f float32) {

@@ -136,6 +136,24 @@ func TestEncodeDecodeComplex64RoundTrip(t *testing.T) {
 	}
 }
 
+// encodeComplex64 and decodeComplex64 pack whole vectors with the
+// element codec the transpose uses.
+func encodeComplex64(vals []complex128) []byte {
+	buf := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		putComplex64(buf[8*i:], v)
+	}
+	return buf
+}
+
+func decodeComplex64(buf []byte) []complex128 {
+	out := make([]complex128, len(buf)/8)
+	for i := range out {
+		out[i] = getComplex64(buf[8*i:])
+	}
+	return out
+}
+
 func distInput(rows, cols int, seed int64) [][]complex128 {
 	a := make([][]complex128, rows)
 	for r := range a {

@@ -47,6 +47,11 @@ type Message struct {
 // sendReq is a sender waiting to rendezvous with the destination
 // (synchronous mode), or an in-flight buffered message (asynchronous
 // mode).
+//
+// A synchronous sender parks until its transfer completes, so it has at
+// most one send outstanding: each Node owns one sendReq and reuses it for
+// every synchronous message, its engine callbacks bound once as method
+// values. Asynchronous sends overlap, so each gets a fresh record.
 type sendReq struct {
 	src, dst, tag int
 	data          []byte
@@ -59,14 +64,22 @@ type sendReq struct {
 	waiter  *recvReq // receiver parked on this in-flight message
 
 	posted sim.Time // when the sender entered the rendezvous (for tracing)
+
+	// Synchronous-mode transfer state, set when the rendezvous matches.
+	m        *Machine
+	recv     *recvReq // the matched receive
+	started  sim.Time // when the match started the wire latency
+	wireFn   func()   // s.wire, bound once per node
+	arriveFn func()   // s.arrive, bound once per node
 }
 
-// recvReq is a posted receive waiting for a matching sender.
+// recvReq is a posted receive waiting for a matching sender. A node's
+// program is single-threaded and Recv parks until the message is
+// delivered, so each Node owns one recvReq and reuses it.
 type recvReq struct {
 	src, tag int // wanted source/tag (may be AnySrc/AnyTag)
 	proc     *sim.Proc
 	result   Message
-	got      bool
 }
 
 // Node is one simulated processing node. All methods must be called from
@@ -78,6 +91,9 @@ type Node struct {
 
 	pendingSends []*sendReq // inbound senders in arrival order
 	postedRecv   *recvReq   // at most one: programs are single-threaded
+
+	sreq sendReq // this node's synchronous send record, reused per message
+	rreq recvReq // this node's receive record, reused per message
 
 	finished sim.Time
 	sends    int
@@ -153,7 +169,14 @@ func (n *Node) send(dst, tag int, data []byte, size int) {
 	n.sentUser += int64(size)
 	n.Compute(n.m.cfg.SendOverhead) // CMMD_send software setup
 
-	req := &sendReq{src: n.id, dst: dst, tag: tag, data: data, size: size, proc: n.proc}
+	var req *sendReq
+	if n.m.async {
+		req = &sendReq{}
+	} else {
+		req = &n.sreq
+	}
+	req.src, req.dst, req.tag, req.data, req.size = n.id, dst, tag, data, size
+	req.proc = n.proc
 	req.posted = n.Now()
 	peer := n.m.nodes[dst]
 
@@ -212,7 +235,8 @@ func (n *Node) Recv(src, tag int) Message {
 		panic(fmt.Sprintf("cmmd: node %d receiving from itself", n.id))
 	}
 	n.recvs++
-	r := &recvReq{src: src, tag: tag, proc: n.proc}
+	r := &n.rreq
+	r.src, r.tag, r.proc = src, tag, n.proc
 	// Match the earliest pending sender.
 	for i, s := range n.pendingSends {
 		if matches(r, s) {
@@ -327,18 +351,13 @@ func NewMachineOn(data topo.Topology, cfg network.Config) (*Machine, error) {
 	}
 	m.nodes = make([]*Node, data.N())
 	for i := range m.nodes {
-		m.nodes[i] = &Node{id: i, m: m}
+		n := &Node{id: i, m: m}
+		n.sreq.m = m
+		n.sreq.wireFn = n.sreq.wire
+		n.sreq.arriveFn = n.sreq.arrive
+		m.nodes[i] = n
 	}
 	return m, nil
-}
-
-// MustNewMachine is NewMachine but panics on error.
-func MustNewMachine(n int, cfg network.Config) *Machine {
-	m, err := NewMachine(n, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // N returns the partition size.
@@ -459,41 +478,38 @@ func (m *Machine) UserBytesSent() int64 {
 	return total
 }
 
-// NodeFinishTimes returns each node's program completion time. Valid
-// after Run.
-func (m *Machine) NodeFinishTimes() []sim.Time {
-	out := make([]sim.Time, len(m.nodes))
-	for i, n := range m.nodes {
-		out[i] = n.finished
-	}
-	return out
-}
-
 // deliver fills a receive request from a send request (no timing).
 func (m *Machine) deliver(s *sendReq, r *recvReq) {
 	r.result = Message{Src: s.src, Tag: s.tag, Size: s.size}
 	if s.data != nil {
 		r.result.Data = append([]byte(nil), s.data...)
 	}
-	r.got = true
 }
 
-// beginTransfer starts the network transfer for a matched rendezvous and
-// arranges for both parties to wake when it completes.
+// beginTransfer starts the network transfer for a matched synchronous
+// rendezvous and arranges for both parties to wake when it completes.
 func (m *Machine) beginTransfer(s *sendReq, r *recvReq) {
 	// Copy at match time so sender buffer reuse cannot corrupt the
 	// receiver.
 	m.deliver(s, r)
-	dst := s.dst
-	started := m.eng.Now()
-	m.eng.After(m.cfg.WireLatency, func() {
-		m.net.Start(s.src, dst, s.size, func() {
-			m.recordEvent(MsgEvent{
-				Src: s.src, Dst: dst, Tag: s.tag, Bytes: s.size,
-				Posted: s.posted, Started: started, Ended: m.eng.Now(),
-			})
-			m.eng.Ready(s.proc)
-			m.eng.Ready(r.proc)
-		})
+	s.recv = r
+	s.started = m.eng.Now()
+	m.eng.After(m.cfg.WireLatency, s.wireFn)
+}
+
+// wire puts a matched synchronous message on the data network once the
+// wire latency has passed.
+func (s *sendReq) wire() { s.m.net.Start(s.src, s.dst, s.size, s.arriveFn) }
+
+// arrive completes a synchronous transfer: it files the message event
+// and wakes both parties. The record is free for the sender's next
+// message from here on.
+func (s *sendReq) arrive() {
+	m := s.m
+	m.recordEvent(MsgEvent{
+		Src: s.src, Dst: s.dst, Tag: s.tag, Bytes: s.size,
+		Posted: s.posted, Started: s.started, Ended: m.eng.Now(),
 	})
+	m.eng.Ready(s.proc)
+	m.eng.Ready(s.recv.proc)
 }

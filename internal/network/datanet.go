@@ -89,10 +89,17 @@ type DataNet struct {
 
 	// Reusable scratch buffers: routing and reallocation run on every
 	// flow start and finish, so they must not allocate.
-	routeScratch []int
-	flowScratch  []*Flow
-	linkScratch  []*link
-	compScratch  []*link
+	routeScratch  []int
+	directScratch []int   // isDirect's direct route
+	flowScratch   []*Flow // maxmin's component flows
+	doneScratch   []*Flow // reallocate's finished flows
+	victimScratch []*Flow // FailLink's rerouted flows
+	linkScratch   []*link
+	compScratch   []*link
+
+	// free holds finished flows for Start to reuse, link lists included.
+	// The engine runs one body at a time, so a plain slice serves.
+	free []*Flow
 
 	// Stats.
 	totalFlows     int
@@ -116,9 +123,6 @@ func (d *DataNet) Topology() topo.Topology { return d.top }
 // Config returns the timing constants in use.
 func (d *DataNet) Config() Config { return d.cfg }
 
-// ActiveFlows returns the number of in-flight flows.
-func (d *DataNet) ActiveFlows() int { return len(d.flows) }
-
 // TotalFlows returns the number of flows ever started.
 func (d *DataNet) TotalFlows() int { return d.totalFlows }
 
@@ -135,8 +139,10 @@ func (d *DataNet) linkFor(idx int) *link {
 }
 
 // Start begins transferring userBytes from src to dst. When the last byte
-// arrives, done runs in engine context. Start returns the new flow.
-// src must differ from dst: node-local copies never enter the network.
+// arrives, done runs in engine context. Start returns the new flow,
+// which is valid only until its done callback has returned: the network
+// then recycles it for a later Start. src must differ from dst:
+// node-local copies never enter the network.
 //
 // The flow's rate is not solved here: Start queues one engine event at
 // the current instant, which every Start of the instant shares, and the
@@ -148,12 +154,21 @@ func (d *DataNet) Start(src, dst, userBytes int, done func()) *Flow {
 		panic(fmt.Sprintf("network: self-flow %d->%d", src, dst))
 	}
 	wire := d.cfg.WireBytes(userBytes)
-	f := &Flow{
+	var f *Flow
+	if k := len(d.free); k > 0 {
+		f = d.free[k-1]
+		d.free[k-1] = nil
+		d.free = d.free[:k-1]
+	} else {
+		f = &Flow{}
+	}
+	*f = Flow{
 		Src:       src,
 		Dst:       dst,
 		WireBytes: wire,
 		seq:       d.totalFlows,
 		remaining: float64(wire),
+		links:     f.links[:0],
 		done:      done,
 		started:   d.eng.Now(),
 	}
@@ -195,33 +210,6 @@ func (d *DataNet) advance() {
 		}
 	}
 	d.lastAdvance = now
-}
-
-// LinkCarried returns the total wire bytes each link has carried so far,
-// keyed by topology link index. Only links that ever carried traffic
-// appear.
-func (d *DataNet) LinkCarried() map[int]float64 {
-	out := make(map[int]float64)
-	for idx, l := range d.links {
-		if l != nil && l.carried > 0 {
-			out[idx] = l.carried
-		}
-	}
-	return out
-}
-
-// LevelCarried aggregates LinkCarried by topology level (both
-// directions combined): how many wire bytes crossed each tier of the
-// network. For the fat tree the levels are the tree levels; other
-// topologies define their own tiers (see topo.Link).
-func (d *DataNet) LevelCarried() map[int]float64 {
-	out := make(map[int]float64)
-	for idx, l := range d.links {
-		if l != nil && l.carried > 0 {
-			out[d.top.Link(idx).Level] += l.carried
-		}
-	}
-	return out
 }
 
 // LevelUtilization returns, per topology level, carried bytes divided
@@ -301,6 +289,9 @@ func (d *DataNet) attach(f *Flow) {
 			}
 		}
 	}
+	if cap(f.links) < len(d.routeScratch) {
+		f.links = make([]*link, 0, len(d.routeScratch))
+	}
 	for _, idx := range d.routeScratch {
 		l := d.linkFor(idx)
 		l.flows = slices.Insert(l.flows, seqIndex(l.flows, f), f)
@@ -340,16 +331,8 @@ func seqIndex(fs []*Flow, f *Flow) int {
 // isDirect reports whether route equals the topology's direct route for
 // the pair (used only to count detours, off the healthy fast path).
 func (d *DataNet) isDirect(route []int, src, dst int) bool {
-	direct := d.top.RouteAppend(nil, src, dst)
-	if len(direct) != len(route) {
-		return false
-	}
-	for i := range direct {
-		if direct[i] != route[i] {
-			return false
-		}
-	}
-	return true
+	d.directScratch = d.top.RouteAppend(d.directScratch[:0], src, dst)
+	return slices.Equal(d.directScratch, route)
 }
 
 // linkDown reports whether topology link idx is dead.
@@ -379,11 +362,13 @@ func (d *DataNet) FailLink(idx int) {
 	}
 	// Reroute the victims in creation order (the order of l.flows; a copy,
 	// since detaching edits it) so reallocation stays deterministic.
-	victims := append([]*Flow(nil), l.flows...)
+	victims := append(d.victimScratch[:0], l.flows...)
 	for _, f := range victims {
 		d.detach(f)
 		d.attach(f) // counts the detour via fstats.Rerouted
 	}
+	clear(victims)
+	d.victimScratch = victims[:0]
 	d.reallocate()
 }
 
@@ -432,8 +417,11 @@ func (d *DataNet) reallocate() {
 		d.solve.Stop()
 	}
 	// Complete flows whose remaining bytes have hit zero, compacting
-	// them out of the active list in one pass.
-	var finished []*Flow
+	// them out of the active list in one pass. The scratch is taken out
+	// of d while the done callbacks run, so a callback that re-entered
+	// reallocate would get a list of its own.
+	finished := d.doneScratch[:0]
+	d.doneScratch = nil
 	live := d.flows[:0]
 	for _, f := range d.flows {
 		if f.remaining > remainingEpsilon {
@@ -484,7 +472,11 @@ func (d *DataNet) reallocate() {
 		if f.done != nil {
 			f.done()
 		}
+		f.done = nil
+		d.free = append(d.free, f)
 	}
+	clear(finished)
+	d.doneScratch = finished[:0]
 }
 
 // maxmin computes the max-min fair allocation by iterative water-filling

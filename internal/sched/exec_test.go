@@ -95,7 +95,10 @@ func TestExchangeDispatcher(t *testing.T) {
 }
 
 func TestRunOnSizeMismatch(t *testing.T) {
-	m := cmmd.MustNewMachine(4, cfg())
+	m, err := cmmd.NewMachine(4, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := RunOn(m, PEX(8, 1), DataHooks{}); err == nil {
 		t.Fatal("size mismatch should error")
 	}
@@ -106,7 +109,10 @@ func TestRunWithDataHooksDelivery(t *testing.T) {
 	// arrives with the right content.
 	p := pattern.PaperP(8)
 	s := PS(p)
-	m := cmmd.MustNewMachine(8, cfg())
+	m, err := cmmd.NewMachine(8, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 	received := make([][]bool, 8)
 	for i := range received {
 		received[i] = make([]bool, 8)

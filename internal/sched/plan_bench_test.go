@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/network"
@@ -65,4 +66,32 @@ func BenchmarkASPlan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkExecute times whole simulated runs of the complete exchanges
+// at N=128, 256 B messages, planning excluded: machine setup, the
+// indexed executor, the rendezvous and the network. allocs/msg is the
+// heap allocations per simulated message, setup included.
+func BenchmarkExecute(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		s    *Schedule
+	}{
+		{"PEX/N=128", PEX(128, 256)},
+		{"BEX/N=128", BEX(128, 256)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			for i := 0; i < b.N; i++ {
+				if _, err := ExecuteSchedule(c.s, Request{Cfg: network.DefaultConfig()}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.Mallocs-before)/float64(b.N*c.s.Messages()), "allocs/msg")
+		})
+	}
 }

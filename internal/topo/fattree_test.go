@@ -57,17 +57,12 @@ func TestNewRejectsBadSizes(t *testing.T) {
 }
 
 // A machine must sit on a fat tree the grouping accepts, so the
-// panicking machine constructor refuses the sizes the tree rejects.
-func TestMustNewPanics(t *testing.T) {
+// machine constructor refuses the sizes the tree rejects.
+func TestNewMachineRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{3, 32768} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("MustNewMachine(%d) should panic", n)
-				}
-			}()
-			cmmd.MustNewMachine(n, network.DefaultConfig())
-		}()
+		if _, err := cmmd.NewMachine(n, network.DefaultConfig()); err == nil {
+			t.Errorf("NewMachine(%d) should fail", n)
+		}
 	}
 }
 
